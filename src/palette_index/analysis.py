@@ -10,17 +10,10 @@ from dataclasses import dataclass
 
 from .coloring import (ColoringError, EdgeColoring, PaletteSummary, Violation,
                        distinct_palettes, palette_summary, verify_proper)
-from .constructions import (color_2_odd, color_3_3r, color_3_5, color_4_4r,
-                            color_5_5r, color_deg5, color_even_bipartite,
-                            color_grid_on, color_r_2r, color_via_doubling,
-                            _complete_on_graph, _is_complete_bipartite,
-                            _konig_result, doubling_palette_bound,
-                            grid_palette_value, profile_bipartition,
-                            recognize_grid)
-from .decompose import maximum_matching
+from .constructions import (RouteFacts, grid_palette_value, recognize_grid,
+                            route_bounds)
 from .exact import BudgetExhausted, SearchLimits, palette_index_exact
-from .graph import (Graph, GraphError, bipartition, biregular_profile,
-                    components, without_isolated)
+from .graph import Graph, GraphError, components, without_isolated
 
 __all__ = [
     "BoundEntry", "BoundReport", "ColoringError", "EdgeColoring",
@@ -48,10 +41,11 @@ class BoundReport:
     witness: EdgeColoring | None
 
 
-def _lower_entries(g: Graph, chi_prime: int | None) -> list[BoundEntry]:
+def _lower_entries(facts: RouteFacts, chi_prime: int | None) -> list[BoundEntry]:
+    g = facts.g
     entries = [BoundEntry(len(g.degree_set()), "lower", "degree-count",
                           "palettes of different sizes are distinct")]
-    prof = biregular_profile(g)
+    prof = facts.prof
     if prof is not None and prof.a < prof.b:
         entries.append(BoundEntry(
             1 + math.ceil(prof.b / prof.a), "lower", "biregular-ratio",
@@ -68,10 +62,9 @@ def _lower_entries(g: Graph, chi_prime: int | None) -> list[BoundEntry]:
         else:
             entries.append(BoundEntry(3, "lower", "regular-class2",
                                       "regular class 2 graphs need 3 palettes"))
-    dims = recognize_grid(g)
-    if dims is not None:
-        entries.append(BoundEntry(grid_palette_value(*dims), "lower", "grid",
-                                  f"grid {dims[0]}x{dims[1]}, exact value"))
+    if facts.dims is not None:
+        entries.append(BoundEntry(grid_palette_value(*facts.dims), "lower", "grid",
+                                  f"grid {facts.dims[0]}x{facts.dims[1]}, exact value"))
     return entries
 
 
@@ -81,115 +74,44 @@ def palette_lower_bound(g: Graph, chi_prime: int | None = None) -> tuple[int, st
         raise GraphError("isolated vertices are not allowed here")
     if g.vertex_count == 0:
         return (0, "empty")
-    best: BoundEntry | None = None
-    for entry in _lower_entries(g, chi_prime):
-        if best is None or entry.value > best.value:
-            best = entry
-    assert best is not None
+    best = max(_lower_entries(RouteFacts(g), chi_prime), key=lambda e: e.value)
     return (best.value, best.tag)
 
 
 def upper_bound_catalog(g: Graph) -> BoundReport:
-    """Every applicable palette upper bound with its justification, plus a
-    witness coloring for the best constructible one."""
+    """Every applicable palette bound with its justification.  The witness
+    is the coloring `color_auto` builds, given when its route attains the
+    smallest upper bound."""
     if g.has_isolated_vertices():
         raise GraphError("isolated vertices are not allowed here")
     if g.edge_count == 0:
         return BoundReport((0, "empty"), (0, "empty"), [], None)
+    facts = RouteFacts(g)
+    entries = _lower_entries(facts, None)
+    lower = max(entries, key=lambda e: e.value)
+    routes = route_bounds(facts)
     delta = g.max_degree
-    entries = _lower_entries(g, None)
-    uppers: list[tuple[BoundEntry, object]] = []  # (entry, witness thunk or None)
-
-    def add(value: int, tag: str, note: str, run=None) -> None:
-        uppers.append((BoundEntry(value, "upper", tag, note, run is not None), run))
-
-    add(2 ** (delta + 1) - 2, "power-general", "any graph, from a maxdeg+1 coloring")
-    bip = bipartition(g)
-    if bip is not None:
-        add(2 ** delta - 1, "power-bipartite", "bipartite, from a maxdeg coloring")
-        add((delta + 2) * 2 ** ((delta + 1) // 2), "half-power-bipartite", "bipartite")
-        add(doubling_palette_bound(g), "doubling", "bipartite",
-            lambda: color_via_doubling(g))
-        if g.is_even():
-            even_bound = sum(math.comb(delta // 2, d // 2) for d in g.degree_set())
-            add(even_bound, "even-pairs", "even bipartite",
-                lambda: color_even_bipartite(g))
-            if delta == 4:
-                add(3, "even-deg4", "even bipartite, maxdeg 4",
-                    lambda: color_even_bipartite(g))
-            if delta == 6:
-                add(7, "even-deg6", "even bipartite, maxdeg 6",
-                    lambda: color_even_bipartite(g))
-            if delta == 8:
-                add(13, "even-deg8-stated", "even bipartite, maxdeg 8; "
-                    "stated, not constructed")
-        if delta == 4:
-            add(11, "deg4", "bipartite, maxdeg 4", lambda: color_via_doubling(g))
-            if g.min_degree >= 2:
-                add(7, "deg4-no-pendant", "bipartite, maxdeg 4, no pendants",
-                    lambda: color_via_doubling(g))
-        if delta == 5:
-            add(23, "deg5", "bipartite, maxdeg 5", lambda: color_deg5(g))
-            if 2 * len(maximum_matching(g, bip)) == g.vertex_count:
-                add(12, "deg5-perfect-matching",
-                    "bipartite, maxdeg 5, perfect matching",
-                    lambda: color_deg5(g))
+    stated = [(2 ** (delta + 1) - 2, "power-general", "any graph, from a maxdeg+1 coloring")]
+    if facts.bip is not None:
+        stated += [(2 ** delta - 1, "power-bipartite", "bipartite, from a maxdeg coloring"),
+                   ((delta + 2) * 2 ** ((delta + 1) // 2), "half-power-bipartite",
+                    "bipartite")]
+    if facts.even and delta == 8:
+        stated.append((13, "even-deg8-stated",
+                       "even bipartite, maxdeg 8; stated, not constructed"))
     if delta - g.min_degree <= 2:
-        add(delta * delta + delta + 1, "near-regular-stated",
-            "degree spread at most 2; stated, not constructed")
-    prof = biregular_profile(g)
-    if prof is not None:
-        a, b = prof.a, prof.b
-        pbip = profile_bipartition(g, prof)
-        if a == b:
-            add(1, "konig-regular", "regular bipartite",
-                lambda: _konig_result(g, prof, pbip))
-        else:
-            add(1 + math.comb(b, a), "konig-biregular", f"({a},{b})-biregular",
-                lambda: _konig_result(g, prof, pbip))
-            if b % 2 == 0 and a in (2, b - 2):
-                add(b // 2 + 1, "even-family", f"({a},{b})-biregular",
-                    lambda: color_even_bipartite(g))
-            if a == 2 and b % 2 == 1:
-                add(b + 1, "two-odd-family", f"(2,{b})-biregular",
-                    lambda: color_2_odd(g))
-            if b % 3 == 0 and b // 3 >= 2 and a in (3, b - 3):
-                add((b // 3) ** 2 + 1, "deg3-family", f"({a},{b})-biregular",
-                    lambda: color_3_3r(g))
-            if b % 4 == 0 and b // 4 >= 2 and a in (4, b - 4):
-                add((b // 4) ** 2 + 1, "deg4-family", f"({a},{b})-biregular",
-                    lambda: color_4_4r(g))
-            if a == 5 and b % 5 == 0 and b // 5 >= 2:
-                add((b // 5) ** 3 + 1, "deg5-family", f"(5,{b})-biregular",
-                    lambda: color_5_5r(g))
-            if b == 2 * a and a >= 2:
-                add(2 ** ((a + 1) // 2) + 1, "half-family", f"({a},{b})-biregular",
-                    lambda: color_r_2r(g))
-            if (a, b) == (3, 5):
-                add(7, "deg35-family", "(3,5)-biregular", lambda: color_3_5(g))
-            if _is_complete_bipartite(g, prof):
-                add(1 + b // math.gcd(a, b), "complete-bipartite",
-                    f"complete bipartite K_{{{a},{b}}}",
-                    lambda: _complete_on_graph(g, prof))
-    dims = recognize_grid(g)
-    if dims is not None:
-        add(grid_palette_value(*dims), "grid", f"grid {dims[0]}x{dims[1]}",
-            lambda: color_grid_on(g))
-
-    best_value = min(entry.value for entry, _ in uppers)
-    witness: EdgeColoring | None = None
-    best_tag = None
-    for entry, run in uppers:
-        if entry.value == best_value and run is not None:
-            witness = run().coloring
-            best_tag = entry.tag
-            break
-    if best_tag is None:
-        best_tag = next(e.tag for e, _ in uppers if e.value == best_value)
-    lower = palette_lower_bound(g)
-    entries.extend(e for e, _ in uppers)
-    assert lower[0] <= best_value, "lower bound exceeds upper bound"
-    return BoundReport(lower, (best_value, best_tag), entries, witness)
+        stated.append((delta * delta + delta + 1, "near-regular-stated",
+                       "degree spread at most 2; stated, not constructed"))
+    uppers = [BoundEntry(value, "upper", route.tag, route.note, True)
+              for route, value in routes]
+    uppers += [BoundEntry(value, "upper", tag, note) for value, tag, note in stated]
+    # the best route comes first, so it wins a tie with a stated bound
+    best = min(uppers, key=lambda e: e.value)
+    witness = routes[0][0].build(g, facts).coloring if best.constructed else None
+    assert lower.value <= best.value, "lower bound exceeds upper bound"
+    entries.extend(uppers)
+    return BoundReport((lower.value, lower.tag), (best.value, best.tag), entries,
+                       witness)
 
 
 # ----------------------------------------------------------------------

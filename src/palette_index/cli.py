@@ -13,16 +13,15 @@ import sys
 from .analysis import (classify_full_palette, palette_lower_bound,
                        palette_summary, upper_bound_catalog, verify_proper)
 from .coloring import ColoringError
-from .constructions import (SearchBudgetError, color_2_odd, color_biregular_auto,
-                            color_deg5, color_even_bipartite, color_grid_on,
-                            color_via_doubling, recognize_grid,
-                            _complete_on_graph, _is_complete_bipartite)
+from .constructions import (SearchBudgetError, color_auto, color_biregular_auto,
+                            color_complete_bipartite_on, color_deg5,
+                            color_even_bipartite, color_grid_on,
+                            color_via_doubling)
 from .exact import BudgetExhausted, SearchLimits, palette_index_exact
 from .fileformat import (FormatError, parse_coloring, parse_graph,
                          serialize_coloring, serialize_graph)
-from .graph import (Graph, GraphError, biregular_profile, bipartition,
-                    gen_complete_bipartite, gen_grid, gen_random_biregular,
-                    without_isolated)
+from .graph import (Graph, GraphError, gen_complete_bipartite, gen_grid,
+                    gen_random_biregular, without_isolated)
 from .suite import run_suite
 
 
@@ -58,42 +57,15 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-_STRATEGIES = ("auto", "even", "doubling", "deg5", "grid", "kab", "biregular")
-
-
-def _color_with_strategy(g: Graph, strategy: str):
-    if strategy == "even":
-        return color_even_bipartite(g)
-    if strategy == "doubling":
-        return color_via_doubling(g)
-    if strategy == "deg5":
-        return color_deg5(g)
-    if strategy == "grid":
-        return color_grid_on(g)
-    if strategy == "kab":
-        prof = biregular_profile(g)
-        if prof is None or not _is_complete_bipartite(g, prof) or prof.a == prof.b:
-            raise GraphError("graph is not a complete bipartite K_{a,b} with a < b")
-        return _complete_on_graph(g, prof)
-    if strategy == "biregular":
-        return color_biregular_auto(g)
-    # auto: most specific applicable route
-    if recognize_grid(g) is not None:
-        return color_grid_on(g)
-    if biregular_profile(g) is not None:
-        return color_biregular_auto(g)
-    if bipartition(g) is not None and not g.has_isolated_vertices():
-        if g.max_degree == 5:
-            return color_deg5(g)
-        if g.is_even():
-            return color_even_bipartite(g)
-        return color_via_doubling(g)
-    raise GraphError("no coloring strategy applies to this graph")
+_STRATEGIES = {"auto": color_auto, "even": color_even_bipartite,
+               "doubling": color_via_doubling, "deg5": color_deg5,
+               "grid": color_grid_on, "kab": color_complete_bipartite_on,
+               "biregular": color_biregular_auto}
 
 
 def _cmd_color(args) -> int:
     g = _load_graph(args.graph)
-    result = _color_with_strategy(g, args.strategy)
+    result = _STRATEGIES[args.strategy](g)
     text = serialize_coloring(result.coloring, result.palettes)
     _emit(text, args.output)
     sys.stdout.write(f"palettes={result.palettes} "

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 from .coloring import EdgeColoring, palette_summary
 from .decompose import (konig_coloring, matching_covering_max_degree,
@@ -51,14 +53,6 @@ def _require_bipartite(g: Graph) -> Bipartition:
     return bip
 
 
-def profile_bipartition(g: Graph, prof: BiregularProfile) -> Bipartition:
-    """Bipartition aligned with a profile: side X is the degree-a part."""
-    side = [SIDE_Y] * g.vertex_count
-    for v in prof.x_vertices:
-        side[v] = SIDE_X
-    return Bipartition(tuple(side))
-
-
 # ----------------------------------------------------------------------
 # even bipartite graphs and the doubling trick
 # ----------------------------------------------------------------------
@@ -92,8 +86,11 @@ def color_even_bipartite(g: Graph) -> ConstructionResult:
     for i, factor in enumerate(factors, start=1):
         real = [eid for eid in factor if eid < m]
         _color_cycles(g, real, 2 * i - 1, colors)
-    bound = sum(math.comb(r, d // 2) for d in g.degree_set())
-    return _finish(g, colors, bound, "even-bipartite-pairs")
+    return _finish(g, colors, _even_pairs_bound(g), "even-bipartite-pairs")
+
+
+def _even_pairs_bound(g: Graph) -> int:
+    return sum(math.comb(g.max_degree // 2, d // 2) for d in g.degree_set())
 
 
 def _color_cycles(g: Graph, edge_ids: list[int], base: int,
@@ -290,15 +287,10 @@ def recognize_grid(g: Graph) -> tuple[int, int] | None:
         return None
     edge_multiset = sorted(tuple(sorted(e)) for e in g.edges)
     for m in range(2, n_verts // 2 + 1):
-        if n_verts % m != 0:
-            continue
-        n = n_verts // m
-        if n < 2:
-            continue
-        grid = gen_grid(m, n)
-        if grid.edge_count != g.edge_count:
-            continue
-        if sorted(tuple(sorted(e)) for e in grid.edges) == edge_multiset:
+        n, rest = divmod(n_verts, m)
+        if rest or 2 * m * n - m - n != g.edge_count:
+            continue  # build only a shape with g's edge count
+        if sorted(tuple(sorted(e)) for e in gen_grid(m, n).edges) == edge_multiset:
             return (m, n)
     return None
 
@@ -349,23 +341,30 @@ def color_complete_bipartite(a: int, b: int) -> ConstructionResult:
     g = gen_complete_bipartite(a, b)
     table = _complete_bipartite_colors(a, b)
     colors = {(i - 1) * b + (j - 1): c for (i, j), c in table.items()}
-    result = _finish(g, colors, 1 + b // math.gcd(a, b), "complete-bipartite")
+    result = _finish(g, colors, _kab_bound(a, b), "complete-bipartite")
     summary = palette_summary(g, result.coloring)
     full = frozenset(range(1, b + 1))
     assert all(summary.palette_of[i] == full for i in range(a))
-    assert result.palettes == 1 + b // math.gcd(a, b)
+    assert result.palettes == _kab_bound(a, b)
     return result
+
+
+def _kab_bound(a: int, b: int) -> int:
+    return 1 + b // math.gcd(a, b)
 
 
 # ----------------------------------------------------------------------
 # biregular families
 # ----------------------------------------------------------------------
 
-def _checked_profile(g: Graph) -> tuple[BiregularProfile, Bipartition]:
-    prof = biregular_profile(g)
-    if prof is None:
-        raise GraphError("graph is not biregular")
-    return prof, profile_bipartition(g, prof)
+def _family_member(g: Graph, tag: str) -> tuple[BiregularProfile, Bipartition, int]:
+    """Profile, aligned bipartition and bound of route `tag` on g, or GraphError."""
+    facts = RouteFacts(g)
+    route = next(r for r in ROUTES if r.tag == tag)
+    bound = route.bound(facts)
+    if bound is None:
+        raise GraphError(f"graph is not {route.note}")
+    return facts.prof, facts.bip, bound
 
 
 def _remap_side(old_bip: Bipartition, back: tuple[int, ...]) -> Bipartition:
@@ -410,16 +409,13 @@ def color_3_3r(g: Graph) -> ConstructionResult:
     meeting each big-side vertex r times; the rest is a graph with all
     degrees even, colored in pairs, and F gets the r extra colors.
     """
-    prof, bip = _checked_profile(g)
-    a, b = prof.a, prof.b
-    if b % 3 != 0 or b // 3 < 2 or a not in (3, b - 3) or a == b:
-        raise GraphError(f"profile ({a}, {b}) is not (3,3r) or (3r-3,3r) with r >= 2")
-    r = b // 3
+    prof, bip, bound = _family_member(g, "deg3-family")
+    r = prof.b // 3
     factor = _perfect_matching_pullback(g, bip, 3)
     rest = [eid for eid in range(g.edge_count) if eid not in factor]
     colors: dict[int, int] = {}
     _color_pair_scheme(g, rest, 0, colors)
-    if a == 3:
+    if prof.a == 3:
         for y in prof.y_vertices:
             f_edges = sorted(e for e in g.incidence[y] if e in factor)
             for k, eid in enumerate(f_edges):
@@ -431,36 +427,30 @@ def color_3_3r(g: Graph) -> ConstructionResult:
         fcol = konig_coloring(fsub, bip)
         for ne, c in fcol.color_of.items():
             colors[fkept[ne]] = 2 * r + c
-    tag = "deg3-multiple" if a == 3 else "deg3-multiple-complement"
-    return _finish(g, colors, r * r + 1, tag)
+    tag = "deg3-multiple" if prof.a == 3 else "deg3-multiple-complement"
+    return _finish(g, colors, bound, tag)
 
 
 def color_4_4r(g: Graph) -> ConstructionResult:
     """Color a (4,4r)- or (4r-4,4r)-biregular graph within r*r + 1 palettes
     by parity-splitting into two half-degree graphs colored in disjoint
     pair ranges."""
-    prof, _ = _checked_profile(g)
-    a, b = prof.a, prof.b
-    if b % 4 != 0 or b // 4 < 2 or a not in (4, b - 4) or a == b:
-        raise GraphError(f"profile ({a}, {b}) is not (4,4r) or (4r-4,4r) with r >= 2")
-    r = b // 4
+    prof, _, bound = _family_member(g, "deg4-family")
+    r = prof.b // 4
     red, blue = parity_split(g)
     colors: dict[int, int] = {}
     _color_pair_scheme(g, red, 0, colors)
     _color_pair_scheme(g, blue, 2 * r, colors)
-    tag = "deg4-multiple" if a == 4 else "deg4-multiple-complement"
-    return _finish(g, colors, r * r + 1, tag)
+    tag = "deg4-multiple" if prof.a == 4 else "deg4-multiple-complement"
+    return _finish(g, colors, bound, tag)
 
 
 def color_5_5r(g: Graph) -> ConstructionResult:
     """Color a (5,5r)-biregular graph within r**3 + 1 palettes: pull back a
     factor from the 5-regular split, color the remaining (4,4r) graph, and
     spend r extra colors on the factor."""
-    prof, bip = _checked_profile(g)
-    a, b = prof.a, prof.b
-    if a != 5 or b % 5 != 0 or b // 5 < 2:
-        raise GraphError(f"profile ({a}, {b}) is not (5,5r) with r >= 2")
-    r = b // 5
+    prof, bip, bound = _family_member(g, "deg5-family")
+    r = prof.b // 5
     factor = _perfect_matching_pullback(g, bip, 5)
     rest = [eid for eid in range(g.edge_count) if eid not in factor]
     sub, kept = edge_subgraph(g, rest)
@@ -470,7 +460,7 @@ def color_5_5r(g: Graph) -> ConstructionResult:
         f_edges = sorted(e for e in g.incidence[y] if e in factor)
         for k, eid in enumerate(f_edges):
             colors[eid] = 4 * r + 1 + k
-    return _finish(g, colors, r ** 3 + 1, "deg5-multiple")
+    return _finish(g, colors, bound, "deg5-multiple")
 
 
 def color_r_2r(g: Graph) -> ConstructionResult:
@@ -481,11 +471,8 @@ def color_r_2r(g: Graph) -> ConstructionResult:
     pulled-back (1,2) factor takes the last two colors and the rest recurses
     into the even case.
     """
-    prof, bip = _checked_profile(g)
-    a, b = prof.a, prof.b
-    if a < 2 or b != 2 * a:
-        raise GraphError(f"profile ({a}, {b}) is not (r,2r) with r >= 2")
-    r = a
+    prof, bip, bound = _family_member(g, "half-family")
+    r = prof.a
     colors: dict[int, int] = {}
     if r % 2 == 0:
         k = r // 2
@@ -493,7 +480,6 @@ def color_r_2r(g: Graph) -> ConstructionResult:
         pieces = peel_perfect_matchings(split, split_bip, k)
         for i, piece in enumerate(pieces):
             _color_pair_scheme(g, piece, 4 * i, colors)
-        bound = 2 ** k + 1
     else:
         k = (r - 1) // 2
         h, back = split_part_vertices(g, bip, "Y", r)
@@ -510,16 +496,13 @@ def color_r_2r(g: Graph) -> ConstructionResult:
             assert len(f_edges) == 2
             colors[f_edges[0]] = 4 * k + 1
             colors[f_edges[1]] = 4 * k + 2
-        bound = 2 ** (k + 1) + 1
     return _finish(g, colors, bound, "half-degree-family")
 
 
 def color_3_5(g: Graph) -> ConstructionResult:
     """Color a (3,5)-biregular graph within 7 palettes: a matching saturating
     the degree-5 side takes color 5, the rest is colored by doubling."""
-    prof, bip = _checked_profile(g)
-    if (prof.a, prof.b) != (3, 5):
-        raise GraphError(f"profile ({prof.a}, {prof.b}) is not (3,5)")
+    prof, bip, bound = _family_member(g, "deg35-family")
     mm = maximum_matching(g, bip)
     covered = set()
     for eid in mm.edge_ids:
@@ -533,7 +516,7 @@ def color_3_5(g: Graph) -> ConstructionResult:
     colors = {kept[ne]: c for ne, c in inner.coloring.color_of.items()}
     for eid in mm.edge_ids:
         colors[eid] = 5
-    return _finish(g, colors, 7, "deg35-matching")
+    return _finish(g, colors, bound, "deg35-matching")
 
 
 def color_2_odd(g: Graph) -> ConstructionResult:
@@ -543,14 +526,9 @@ def color_2_odd(g: Graph) -> ConstructionResult:
     consecutive block is found by backtracking, then all colors are reduced
     modulo 2r+1 into 1..2r+1.
     """
-    prof, bip = _checked_profile(g)
-    a, b = prof.a, prof.b
-    if a != 2 or b % 2 == 0:
-        raise GraphError(f"profile ({a}, {b}) is not (2,2r+1)")
-    r = b // 2
-    t = 2 * r + 2
+    prof, _, t = _family_member(g, "two-odd-family")
     interval = _interval_coloring_search(g, prof, t)
-    colors = {eid: 1 + (c - 1) % (2 * r + 1) for eid, c in interval.items()}
+    colors = {eid: 1 + (c - 1) % prof.b for eid, c in interval.items()}
     return _finish(g, colors, t, "two-odd-cyclic")
 
 
@@ -609,20 +587,20 @@ def _interval_coloring_search(g: Graph, prof: BiregularProfile, t: int,
     return dict(assignment)
 
 
-def _star_coloring(g: Graph, prof: BiregularProfile) -> ConstructionResult:
+def _star_coloring(g: Graph) -> ConstructionResult:
     """Color a disjoint union of stars: each center's edges get 1..b."""
+    prof, _, bound = _family_member(g, "star")
     colors: dict[int, int] = {}
     for center in prof.y_vertices:
         for k, eid in enumerate(g.incidence[center]):
             colors[eid] = k + 1
-    return _finish(g, colors, prof.b + 1, "star")
+    return _finish(g, colors, bound, "star")
 
 
-def _konig_result(g: Graph, prof: BiregularProfile,
-                  bip: Bipartition) -> ConstructionResult:
-    bound = 1 if prof.a == prof.b else 1 + math.comb(prof.b, prof.a)
-    coloring = konig_coloring(g, bip)
-    return _finish(g, dict(coloring.color_of), bound, "konig")
+def _konig_result(g: Graph, f: RouteFacts) -> ConstructionResult:
+    tag = "konig-regular" if f.prof.a == f.prof.b else "konig-biregular"
+    bound = next(r for r in ROUTES if r.tag == tag).bound(f)
+    return _finish(g, dict(konig_coloring(g, f.bip).color_of), bound, "konig")
 
 
 def _is_complete_bipartite(g: Graph, prof: BiregularProfile) -> bool:
@@ -646,57 +624,181 @@ def _complete_on_graph(g: Graph, prof: BiregularProfile) -> ConstructionResult:
             colors[eid] = table[(u_index[p], v_index[q])]
         else:
             colors[eid] = table[(u_index[q], v_index[p])]
-    return _finish(g, colors, 1 + b // math.gcd(a, b), "complete-bipartite")
+    return _finish(g, colors, _kab_bound(a, b), "complete-bipartite")
+
+
+def color_complete_bipartite_on(g: Graph) -> ConstructionResult:
+    """Color a graph recognized as K_{a,b} with a < b, whatever its vertex
+    labels, within 1 + b/gcd(a,b) palettes."""
+    prof = biregular_profile(g)
+    if prof is None or prof.a == prof.b or not _is_complete_bipartite(g, prof):
+        raise GraphError("graph is not a complete bipartite K_{a,b} with a < b")
+    return _complete_on_graph(g, prof)
+
+
+# ----------------------------------------------------------------------
+# the route table: where each construction applies and what it promises
+# ----------------------------------------------------------------------
+
+@dataclass
+class RouteFacts:
+    """The facts about one graph that the routes test, each computed at most
+    once and only when a route asks for it."""
+
+    g: Graph
+
+    @cached_property
+    def prof(self) -> BiregularProfile | None:
+        return biregular_profile(self.g)
+
+    @cached_property
+    def bip(self) -> Bipartition | None:
+        """A bipartition; with a profile, the one whose side X has degree a."""
+        if self.prof is None:
+            return bipartition(self.g)
+        side = [SIDE_Y] * self.g.vertex_count
+        for v in self.prof.x_vertices:
+            side[v] = SIDE_X
+        return Bipartition(tuple(side))
+
+    @cached_property
+    def dims(self) -> tuple[int, int] | None:
+        # Every grid but 2x2 puts (1,1), of degree 2, and (2,2), of degree 3
+        # or 4, on one side, so no other biregular graph is a grid.
+        if self.prof is not None and (self.prof.a, self.prof.b) != (2, 2):
+            return None
+        return recognize_grid(self.g)
+
+    @cached_property
+    def even(self) -> bool:  # bipartite with every degree even
+        return self.bip is not None and self.g.is_even()
+
+
+@dataclass(frozen=True)
+class Route:
+    """A construction with the catalog tag and justification of its bound.
+    `bound` is None where the route does not apply."""
+
+    tag: str
+    note: str
+    bound: Callable[[RouteFacts], int | None]
+    build: Callable[[Graph, RouteFacts], ConstructionResult]
+
+
+def _on_profile(family: Callable[[int, int], int | None]
+                ) -> Callable[[RouteFacts], int | None]:
+    """Route bound of a family of (a,b)-biregular graphs, a <= b."""
+    return lambda f: None if f.prof is None else family(f.prof.a, f.prof.b)
+
+
+def _deg5_perfect_bound(f: RouteFacts) -> int | None:
+    g, bip = f.g, f.bip
+    # a perfect matching needs sides of equal size; a regular bipartite graph has one
+    if bip is None or g.max_degree != 5 or 2 * len(bip.x_vertices()) != g.vertex_count:
+        return None
+    regular = f.prof is not None and f.prof.a == f.prof.b
+    return 12 if regular or 2 * len(maximum_matching(g, bip)) == g.vertex_count else None
+
+
+# Builders are looked up by name when a route runs, so a rebinding of the
+# module attribute (a tracer, a test double) is seen.  The order breaks ties.
+ROUTES: tuple[Route, ...] = (
+    Route("grid", "grid, exact value",
+          lambda f: None if f.dims is None else grid_palette_value(*f.dims),
+          lambda g, f: color_grid_on(g)),
+    Route("star", "disjoint stars",
+          _on_profile(lambda a, b: b + 1 if a == 1 < b else None),
+          lambda g, f: _star_coloring(g)),
+    Route("even-family", "(2,2r)- or (2r-2,2r)-biregular",
+          _on_profile(lambda a, b: b // 2 + 1
+                      if b % 2 == 0 and a in (2, b - 2) and a < b else None),
+          lambda g, f: color_even_bipartite(g)),
+    Route("two-odd-family", "(2,2r+1)-biregular",
+          _on_profile(lambda a, b: b + 1 if a == 2 and b % 2 == 1 else None),
+          lambda g, f: color_2_odd(g)),
+    Route("deg3-family", "(3,3r)- or (3r-3,3r)-biregular, r >= 2",
+          _on_profile(lambda a, b: (b // 3) ** 2 + 1
+                      if b % 3 == 0 and b // 3 >= 2 and a in (3, b - 3) else None),
+          lambda g, f: color_3_3r(g)),
+    Route("deg4-family", "(4,4r)- or (4r-4,4r)-biregular, r >= 2",
+          _on_profile(lambda a, b: (b // 4) ** 2 + 1
+                      if b % 4 == 0 and b // 4 >= 2 and a in (4, b - 4) else None),
+          lambda g, f: color_4_4r(g)),
+    Route("deg5-family", "(5,5r)-biregular, r >= 2",
+          _on_profile(lambda a, b: (b // 5) ** 3 + 1
+                      if a == 5 and b % 5 == 0 and b // 5 >= 2 else None),
+          lambda g, f: color_5_5r(g)),
+    Route("half-family", "(r,2r)-biregular, r >= 2",
+          _on_profile(lambda a, b: 2 ** ((a + 1) // 2) + 1
+                      if b == 2 * a and a >= 2 else None),
+          lambda g, f: color_r_2r(g)),
+    Route("deg35-family", "(3,5)-biregular",
+          _on_profile(lambda a, b: 7 if (a, b) == (3, 5) else None),
+          lambda g, f: color_3_5(g)),
+    Route("complete-bipartite", "complete bipartite K_{a,b}, a < b",
+          lambda f: (_kab_bound(f.prof.a, f.prof.b)
+                     if f.prof is not None and f.prof.a < f.prof.b
+                     and _is_complete_bipartite(f.g, f.prof) else None),
+          lambda g, f: _complete_on_graph(g, f.prof)),
+    Route("konig-regular", "regular bipartite",
+          _on_profile(lambda a, b: 1 if a == b else None),
+          lambda g, f: _konig_result(g, f)),
+    Route("konig-biregular", "(a,b)-biregular, from a maxdeg coloring",
+          _on_profile(lambda a, b: 1 + math.comb(b, a) if a < b else None),
+          lambda g, f: _konig_result(g, f)),
+    Route("even-pairs", "even bipartite",
+          lambda f: _even_pairs_bound(f.g) if f.even else None,
+          lambda g, f: color_even_bipartite(g)),
+    Route("even-deg4", "even bipartite, maxdeg 4",
+          lambda f: 3 if f.even and f.g.max_degree == 4 else None,
+          lambda g, f: color_even_bipartite(g)),
+    Route("even-deg6", "even bipartite, maxdeg 6",
+          lambda f: 7 if f.even and f.g.max_degree == 6 else None,
+          lambda g, f: color_even_bipartite(g)),
+    Route("doubling", "bipartite",
+          lambda f: None if f.bip is None else doubling_palette_bound(f.g),
+          lambda g, f: color_via_doubling(g)),
+    Route("deg4", "bipartite, maxdeg 4",
+          lambda f: 11 if f.bip is not None and f.g.max_degree == 4 else None,
+          lambda g, f: color_via_doubling(g)),
+    Route("deg4-no-pendant", "bipartite, maxdeg 4, no pendants",
+          lambda f: (7 if f.bip is not None and f.g.max_degree == 4
+                     and f.g.min_degree >= 2 else None),
+          lambda g, f: color_via_doubling(g)),
+    Route("deg5", "bipartite, maxdeg 5",
+          lambda f: 23 if f.bip is not None and f.g.max_degree == 5 else None,
+          lambda g, f: color_deg5(g)),
+    Route("deg5-perfect-matching", "bipartite, maxdeg 5, perfect matching",
+          _deg5_perfect_bound, lambda g, f: color_deg5(g)),
+)
+
+
+def route_bounds(facts: RouteFacts) -> list[tuple[Route, int]]:
+    """The routes that apply, with their bounds, smallest first; ties keep
+    table order, so the first is the route `color_auto` takes."""
+    bounds = [(route, route.bound(facts)) for route in ROUTES]
+    return sorted((rb for rb in bounds if rb[1] is not None), key=lambda rb: rb[1])
+
+
+def _color_by_best_route(g: Graph, facts: RouteFacts) -> ConstructionResult:
+    routes = route_bounds(facts)
+    if not routes:
+        raise GraphError("no coloring strategy applies to this graph")
+    return routes[0][0].build(g, facts)
+
+
+def color_auto(g: Graph) -> ConstructionResult:
+    """Color g by the applicable route that promises the fewest palettes;
+    ties go to the route listed first in ROUTES."""
+    if g.has_isolated_vertices():
+        raise GraphError("isolated vertices are not allowed here")
+    return _color_by_best_route(g, RouteFacts(g))
 
 
 def color_biregular_auto(g: Graph) -> ConstructionResult:
-    """Route a biregular graph to the construction with the smallest promised
-    palette bound; ties go to the earlier, more specialized family.
-
-    Bipartite graphs that are not biregular but have all degrees even are
-    accepted too and colored by the even-degree pair scheme.
-    """
-    prof = biregular_profile(g)
-    if prof is None:
-        bip = bipartition(g)
-        if bip is not None and g.is_even() and not g.has_isolated_vertices():
-            return color_even_bipartite(g)
+    """`color_auto` for biregular graphs, and for bipartite graphs whose
+    degrees are all even."""
+    facts = RouteFacts(g)
+    if facts.prof is None and (not facts.even or g.has_isolated_vertices()):
         raise GraphError("graph is not biregular")
-    bip = profile_bipartition(g, prof)
-    a, b = prof.a, prof.b
-    if a == b:
-        return _konig_result(g, prof, bip)
-    candidates: list[tuple[int, str]] = []
-    if a == 1:
-        candidates.append((b + 1, "star"))
-    if b % 2 == 0 and a in (2, b - 2):
-        candidates.append((b // 2 + 1, "even"))
-    if a == 2 and b % 2 == 1:
-        candidates.append((b + 1, "two-odd"))
-    if b % 3 == 0 and b // 3 >= 2 and a in (3, b - 3):
-        candidates.append(((b // 3) ** 2 + 1, "three"))
-    if b % 4 == 0 and b // 4 >= 2 and a in (4, b - 4):
-        candidates.append(((b // 4) ** 2 + 1, "four"))
-    if a == 5 and b % 5 == 0 and b // 5 >= 2:
-        candidates.append(((b // 5) ** 3 + 1, "five"))
-    if b == 2 * a and a >= 2:
-        candidates.append((2 ** ((a + 1) // 2) + 1, "half"))
-    if (a, b) == (3, 5):
-        candidates.append((7, "three-five"))
-    if _is_complete_bipartite(g, prof):
-        candidates.append((1 + b // math.gcd(a, b), "complete"))
-    candidates.append((1 + math.comb(b, a), "konig"))
-    best = min(candidates, key=lambda cb: cb[0])[1]
-    runners = {
-        "star": lambda: _star_coloring(g, prof),
-        "even": lambda: color_even_bipartite(g),
-        "two-odd": lambda: color_2_odd(g),
-        "three": lambda: color_3_3r(g),
-        "four": lambda: color_4_4r(g),
-        "five": lambda: color_5_5r(g),
-        "half": lambda: color_r_2r(g),
-        "three-five": lambda: color_3_5(g),
-        "complete": lambda: _complete_on_graph(g, prof),
-        "konig": lambda: _konig_result(g, prof, bip),
-    }
-    return runners[best]()
+    return _color_by_best_route(g, facts)

@@ -345,7 +345,7 @@ def components(g: Graph) -> list[Component]:
                     queue.append(w)
         verts.sort()
         local = {host: i for i, host in enumerate(verts)}
-        edge_ids = [eid for eid, (u, v) in enumerate(g.edges) if u in local]
+        edge_ids = sorted({eid for v in verts for eid in g.incidence[v]})
         local_edges = tuple((local[g.edges[eid][0]], local[g.edges[eid][1]])
                             for eid in edge_ids)
         result.append(Component(

@@ -258,6 +258,13 @@ def test_auto_generic_falls_back_to_konig():
     assert result.claimed_palette_bound == 1 + math.comb(4, 3)
 
 
+def test_auto_takes_the_general_bipartite_routes_off_family():
+    # (4,10) is in no named family: even-pairs promises 11, Konig 211
+    result = color_biregular_auto(gen_random_biregular(4, 10, 3, 3))
+    assert result.claimed_palette_bound <= 11
+    assert result.theorem_tag == "even-bipartite-pairs"
+
+
 def test_auto_accepts_even_degree_set_nonbiregular():
     g = gen_random_even_bipartite(4, 3)
     result = color_biregular_auto(g)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +154,27 @@ def test_components_split_and_order():
     assert comps[0].vertex_ids == (0, 1, 2, 6)
     assert comps[1].vertex_ids == (3, 4, 5)
     assert [g.edges[e] for e in comps[1].edge_ids] == [(3, 4), (4, 5), (3, 5)]
+
+
+def test_components_partition_many_components_in_order():
+    rng = random.Random(4)
+    n = 300 * 6 + 7  # 300 disjoint K_{2,4} and 7 isolated vertices
+    perm = rng.sample(range(n), n)
+    edges = [(perm[6 * k + i], perm[6 * k + 2 + j])
+             for k in range(300) for i in range(2) for j in range(4)]
+    rng.shuffle(edges)
+    g = build_graph(n, edges)
+    comps = components(g)
+    assert len(comps) == 307
+    firsts = [c.vertex_ids[0] for c in comps]
+    assert firsts == sorted(firsts)
+    assert sorted(v for c in comps for v in c.vertex_ids) == list(range(n))
+    assert sorted(e for c in comps for e in c.edge_ids) == list(range(len(edges)))
+    for c in comps:
+        assert list(c.vertex_ids) == sorted(c.vertex_ids)
+        assert list(c.edge_ids) == sorted(c.edge_ids)
+        for (u, v), host in zip(c.graph.edges, c.edge_ids):
+            assert (c.vertex_ids[u], c.vertex_ids[v]) == g.edges[host]
 
 
 def test_components_trivial_cases():

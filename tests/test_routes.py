@@ -1,0 +1,93 @@
+"""The route table: `color_auto` and the bound catalog read the same routes,
+so the catalog's best constructed bound is the route the dispatcher takes."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import palette_index
+from palette_index.analysis import upper_bound_catalog
+from palette_index.coloring import palette_summary
+from palette_index.constructions import (RouteFacts, color_auto,
+                                         color_complete_bipartite_on,
+                                         route_bounds)
+from palette_index.graph import (GraphError, build_graph,
+                                 gen_complete_bipartite, gen_random_biregular,
+                                 gen_random_even_bipartite, without_isolated)
+from palette_index.suite import BIREGULAR_BOUNDS, CONJECTURE_PROFILES
+
+from conftest import bipartite_graphs
+
+SUITE_PROFILES = sorted(set(BIREGULAR_BOUNDS) | set(CONJECTURE_PROFILES))
+
+
+def assert_catalog_agrees_with_dispatcher(g):
+    report = upper_bound_catalog(g)
+    uppers = [e for e in report.entries if e.direction == "upper"]
+    best = min(e.value for e in uppers)
+    assert report.upper[0] == best
+    if not any(e.constructed and e.value == best for e in uppers):
+        assert report.witness is None
+        return
+    route, bound = route_bounds(RouteFacts(g))[0]
+    assert (bound, route.tag) == report.upper
+    result = color_auto(g)
+    assert palette_summary(g, report.witness).distinct == result.palettes
+    assert result.palettes <= bound
+
+
+@pytest.mark.parametrize("a,b", SUITE_PROFILES)
+def test_catalog_agrees_with_dispatcher_on_suite_profiles(a, b):
+    scale = 1 if a * b >= 96 else 2
+    assert_catalog_agrees_with_dispatcher(gen_random_biregular(a, b, scale, 5))
+
+
+@st.composite
+def routed_graphs(draw):
+    kind = draw(st.sampled_from(("biregular", "even", "bipartite")))
+    if kind == "biregular":
+        a = draw(st.integers(1, 6))
+        b = draw(st.integers(a, 8))
+        try:
+            return gen_random_biregular(a, b, draw(st.integers(1, 2)),
+                                        draw(st.integers(0, 10 ** 6)))
+        except GraphError:
+            assume(False)
+    if kind == "even":
+        return gen_random_even_bipartite(draw(st.sampled_from((2, 4, 6, 8))),
+                                         draw(st.integers(0, 10 ** 6)))
+    return without_isolated(draw(bipartite_graphs(max_side=6, max_m=20)))[0]
+
+
+@settings(deadline=None, max_examples=40)
+@given(routed_graphs())
+def test_catalog_agrees_with_dispatcher_on_random_graphs(g):
+    assert_catalog_agrees_with_dispatcher(g)
+
+
+def test_kab_strategy_checks_its_input():
+    g = gen_complete_bipartite(2, 6)
+    relabeled = build_graph(8, [(7 - u, 7 - v) for u, v in g.edges])
+    assert color_complete_bipartite_on(relabeled).palettes == 4
+    for not_kab in (gen_complete_bipartite(3, 3), gen_random_biregular(2, 4, 2, 1)):
+        with pytest.raises(GraphError):
+            color_complete_bipartite_on(not_kab)
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    offenders = []
+    for path in sorted(Path(palette_index.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("palette_index"):
+                continue
+            offenders.extend(f"{path.name}: {alias.name}" for alias in node.names
+                             if alias.name.startswith("_"))
+    assert offenders == []
