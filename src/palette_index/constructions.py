@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Callable
 
 from .coloring import EdgeColoring, palette_summary
-from .decompose import (konig_coloring, matching_covering_max_degree,
+from .decompose import (Matching, konig_coloring, matching_covering_max_degree,
                         maximum_matching, parity_split, peel_perfect_matchings,
                         split_part_vertices, two_factorization)
 from .graph import (SIDE_X, SIDE_Y, Bipartition, BiregularProfile, Graph,
@@ -163,7 +163,11 @@ def color_deg5(g: Graph) -> ConstructionResult:
         raise GraphError("isolated vertices are not allowed here")
     if g.max_degree != 5:
         raise GraphError(f"maximum degree must be 5, got {g.max_degree}")
-    mm = maximum_matching(g, bip)
+    return _color_deg5(g, bip, maximum_matching(g, bip))
+
+
+def _color_deg5(g: Graph, bip: Bipartition, mm: Matching) -> ConstructionResult:
+    """`color_deg5` given a maximum matching `mm` of g."""
     if 2 * len(mm) == g.vertex_count:
         matching, bound, tag = mm, 12, "deg5-perfect-matching"
     else:
@@ -382,13 +386,10 @@ def _split_both_sides(g: Graph, bip: Bipartition,
 
 def _perfect_matching_pullback(g: Graph, bip: Bipartition,
                                unit: int) -> frozenset[int]:
-    """Edge set meeting each vertex exactly degree/unit times, found as a
-    perfect matching of the degree-`unit` split graph."""
+    """Edge set meeting each vertex exactly degree/unit times: color class 1,
+    a perfect matching, of the `unit`-regular split graph."""
     split, split_bip = _split_both_sides(g, bip, unit)
-    mm = maximum_matching(split, split_bip)
-    if 2 * len(mm) != split.vertex_count:
-        raise GraphError("split graph unexpectedly has no perfect matching")
-    return mm.edge_ids
+    return peel_perfect_matchings(split, split_bip, unit)[0]
 
 
 def _color_pair_scheme(g: Graph, edge_ids, shift: int,
@@ -483,10 +484,7 @@ def color_r_2r(g: Graph) -> ConstructionResult:
     else:
         k = (r - 1) // 2
         h, back = split_part_vertices(g, bip, "Y", r)
-        mm = maximum_matching(h, _remap_side(bip, back))
-        if 2 * len(mm) != h.vertex_count:
-            raise GraphError("split graph unexpectedly has no perfect matching")
-        factor = mm.edge_ids
+        factor = peel_perfect_matchings(h, _remap_side(bip, back), r)[0]
         rest = [eid for eid in range(g.edge_count) if eid not in factor]
         sub, kept = edge_subgraph(g, rest)
         inner = color_r_2r(sub)  # (2k,4k)-biregular, lands in the even case
@@ -502,14 +500,8 @@ def color_r_2r(g: Graph) -> ConstructionResult:
 def color_3_5(g: Graph) -> ConstructionResult:
     """Color a (3,5)-biregular graph within 7 palettes: a matching saturating
     the degree-5 side takes color 5, the rest is colored by doubling."""
-    prof, bip, bound = _family_member(g, "deg35-family")
-    mm = maximum_matching(g, bip)
-    covered = set()
-    for eid in mm.edge_ids:
-        covered.update(g.edges[eid])
-    if not all(y in covered for y in prof.y_vertices):
-        raise GraphError("maximum matching failed to saturate the degree-5 side; "
-                         "input is not (3,5)-biregular")
+    _, bip, bound = _family_member(g, "deg35-family")
+    mm = matching_covering_max_degree(g, bip)
     rest = [eid for eid in range(g.edge_count) if eid not in mm.edge_ids]
     sub, kept = edge_subgraph(g, rest)
     inner = color_via_doubling(sub)
@@ -673,6 +665,10 @@ class RouteFacts:
     def even(self) -> bool:  # bipartite with every degree even
         return self.bip is not None and self.g.is_even()
 
+    @cached_property
+    def matching(self) -> Matching:  # a maximum matching; needs a bipartition
+        return maximum_matching(self.g, self.bip)
+
 
 @dataclass(frozen=True)
 class Route:
@@ -697,7 +693,7 @@ def _deg5_perfect_bound(f: RouteFacts) -> int | None:
     if bip is None or g.max_degree != 5 or 2 * len(bip.x_vertices()) != g.vertex_count:
         return None
     regular = f.prof is not None and f.prof.a == f.prof.b
-    return 12 if regular or 2 * len(maximum_matching(g, bip)) == g.vertex_count else None
+    return 12 if regular or 2 * len(f.matching) == g.vertex_count else None
 
 
 # Builders are looked up by name when a route runs, so a rebinding of the
@@ -767,9 +763,9 @@ ROUTES: tuple[Route, ...] = (
           lambda g, f: color_via_doubling(g)),
     Route("deg5", "bipartite, maxdeg 5",
           lambda f: 23 if f.bip is not None and f.g.max_degree == 5 else None,
-          lambda g, f: color_deg5(g)),
+          lambda g, f: _color_deg5(g, f.bip, f.matching)),
     Route("deg5-perfect-matching", "bipartite, maxdeg 5, perfect matching",
-          _deg5_perfect_bound, lambda g, f: color_deg5(g)),
+          _deg5_perfect_bound, lambda g, f: _color_deg5(g, f.bip, f.matching)),
 )
 
 

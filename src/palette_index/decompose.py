@@ -2,14 +2,18 @@
 2-factorizations, bipartite matchings, degree-many edge colorings of
 bipartite graphs, vertex splitting, and alternating parity splits.
 
+One primitive carries the bipartite work: `konig_coloring`, the
+alternating-path max-degree edge coloring.  Perfect matchings of regular
+bipartite graphs and 2-factors are read from its color classes; a true
+maximum matching (Hopcroft-Karp) is computed only where one is asked for.
+
 Everything here is deterministic: trails start at the smallest vertex id,
-edge scans go in ascending edge-id order, and augmenting paths are explored
-in that same order.
+and edges are colored, and scanned for augmenting paths, in ascending
+edge-id order.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring
@@ -77,29 +81,13 @@ def _hierholzer(g: Graph, start: int) -> list[int]:
     return trail
 
 
-def directed_circuits(g: Graph) -> list[list[tuple[int, int, int]]]:
-    """Eulerian circuits as (edge id, tail, head) triples per component."""
-    result = []
-    for circuit in eulerian_circuit(g):
-        # the trail starts at the component's smallest vertex
-        cur = min(min(g.edges[eid]) for eid in circuit)
-        walk = []
-        for eid in circuit:
-            head = g.other_end(eid, cur)
-            walk.append((eid, cur, head))
-            cur = head
-        assert cur == walk[0][1]
-        result.append(walk)
-    return result
-
-
 def two_factorization(g: Graph) -> FactorSet:
     """Split a 2r-regular multigraph (loops allowed, counting 2) into r
     2-factors.
 
     Each component's Eulerian circuit is oriented; the resulting in/out
-    bipartite realization graph is r-regular, and peeling r perfect
-    matchings from it pulls back to r spanning 2-regular factors.
+    bipartite realization graph is r-regular, and its r color classes under
+    `konig_coloring` pull back to r spanning 2-regular factors.
     """
     degs = set(g.degrees)
     if len(degs) > 1:
@@ -115,15 +103,18 @@ def two_factorization(g: Graph) -> FactorSet:
     n = g.vertex_count
     arcs: list[tuple[int, int]] = []
     arc_source: list[int] = []
-    for walk in directed_circuits(g):
-        for eid, tail, head in walk:
+    for circuit in eulerian_circuit(g):
+        # the trail starts at the component's smallest vertex
+        tail = min(min(g.edges[eid]) for eid in circuit)
+        for eid in circuit:
+            head = g.other_end(eid, tail)
             arcs.append((tail, n + head))
             arc_source.append(eid)
+            tail = head
     realization = Graph(2 * n, tuple(arcs))
     bip = Bipartition(tuple([SIDE_X] * n + [SIDE_Y] * n))
-    matchings = peel_perfect_matchings(realization, bip, r)
-    factors = tuple(frozenset(arc_source[a] for a in matching)
-                    for matching in matchings)
+    factors = tuple(frozenset(arc_source[a] for a in cls)
+                    for cls in peel_perfect_matchings(realization, bip, r))
     _check_two_factors(g, factors)
     return FactorSet(factors)
 
@@ -143,108 +134,111 @@ def _check_two_factors(g: Graph, factors: tuple[frozenset[int], ...]) -> None:
 
 
 def maximum_matching(g: Graph, bip: Bipartition) -> Matching:
-    """Maximum-cardinality matching by augmenting paths, scanning X-side
-    vertices and their edges in ascending order."""
-    match_edge: list[int | None] = [None] * g.vertex_count
-    xs = [v for v in range(g.vertex_count) if bip.side_of[v] == SIDE_X]
+    """Maximum-cardinality matching by Hopcroft-Karp (1973).
 
-    def augment(x: int, visited: set[int]) -> bool:
-        for eid in g.incidence[x]:
-            y = g.other_end(eid, x)
-            if y in visited:
-                continue
-            visited.add(y)
-            other = match_edge[y]
-            if other is None:
-                match_edge[x] = eid
-                match_edge[y] = eid
-                return True
-            x2 = g.other_end(other, y)
-            if augment(x2, visited):
-                match_edge[x] = eid
-                match_edge[y] = eid
-                return True
-        return False
-
-    limit = sys.getrecursionlimit()
-    needed = 2 * g.vertex_count + 100
-    if needed > limit:
-        sys.setrecursionlimit(needed)
-    for x in xs:
-        if match_edge[x] is None:
-            augment(x, set())
-    ids = {eid for eid in match_edge if eid is not None}
-    return Matching(frozenset(ids))
+    Each phase layers the X side by breadth-first search from the free
+    X-vertices, then augments along vertex-disjoint layered paths found by a
+    depth-first search on an explicit stack.  X-vertices and their edges are
+    scanned in ascending order.
+    """
+    n = g.vertex_count
+    inc, edges = g.incidence, g.edges
+    mate = [-1] * n  # matched edge id of each vertex
+    xs = [v for v in range(n) if bip.side_of[v] == SIDE_X]
+    while True:
+        free = [x for x in xs if mate[x] < 0]
+        layer = [-1] * n
+        for x in free:
+            layer[x] = 0
+        queue, found = free[:], False
+        for x in queue:
+            for eid in inc[x]:
+                y = g.other_end(eid, x)
+                if mate[y] < 0:
+                    found = True
+                    continue
+                x2 = g.other_end(mate[y], y)
+                if layer[x2] < 0:
+                    layer[x2] = layer[x] + 1
+                    queue.append(x2)
+        if not found:
+            break
+        ptr = [0] * n
+        for root in free:
+            stack, path = [root], []
+            while stack:
+                x = stack[-1]
+                if ptr[x] == len(inc[x]):
+                    layer[x] = -1  # dead end for the rest of the phase
+                    stack.pop()
+                    if path:
+                        path.pop()
+                    continue
+                eid = inc[x][ptr[x]]
+                ptr[x] += 1
+                y = g.other_end(eid, x)
+                if mate[y] < 0:
+                    path.append(eid)
+                    for e in path:
+                        u, v = edges[e]
+                        mate[u] = mate[v] = e
+                    break
+                x2 = g.other_end(mate[y], y)
+                if layer[x2] == layer[x] + 1:
+                    stack.append(x2)
+                    path.append(eid)
+    return Matching(frozenset(mate[x] for x in xs if mate[x] >= 0))
 
 
 def peel_perfect_matchings(g: Graph, bip: Bipartition,
                            rounds: int) -> list[frozenset[int]]:
-    """Extract `rounds` pairwise-disjoint perfect matchings from a regular
-    bipartite multigraph (they exist by Hall's condition at every stage)."""
-    remaining = list(range(g.edge_count))
-    result: list[frozenset[int]] = []
-    for _ in range(rounds):
-        sub_edges = tuple(g.edges[eid] for eid in remaining)
-        sub = Graph(g.vertex_count, sub_edges, g.loop_allowed)
-        matching = maximum_matching(sub, bip)
-        if 2 * len(matching) != g.vertex_count:
-            raise GraphError(
-                "perfect matching missing while peeling a regular bipartite graph")
-        chosen = {remaining[local] for local in matching.edge_ids}
-        result.append(frozenset(chosen))
-        remaining = [eid for eid in remaining if eid not in chosen]
-    return result
+    """Split a `rounds`-regular bipartite multigraph into `rounds` perfect
+    matchings: the color classes 1..rounds of `konig_coloring`."""
+    if any(d != rounds for d in g.degrees):
+        raise GraphError(f"graph is not {rounds}-regular")
+    classes: list[set[int]] = [set() for _ in range(rounds)]
+    for eid, c in konig_coloring(g, bip).color_of.items():
+        classes[c - 1].add(eid)
+    return [frozenset(cls) for cls in classes]
 
 
 def konig_coloring(g: Graph, bip: Bipartition) -> EdgeColoring:
     """Proper edge coloring of a bipartite multigraph with exactly
-    max-degree many colors.
+    max-degree many colors, so every maximum-degree vertex sees the full
+    palette 1..max degree.
 
-    The graph is padded with dummy vertices and edges to a regular bipartite
-    multigraph, which splits into perfect matchings; each matching restricted
-    to the real edges is one color class.  Every maximum-degree vertex ends
-    up with the full palette 1..max degree.
+    Kőnig's alternating-path proof: edges are colored in ascending id order.
+    Edge uv, with u on side Y, takes the smallest color a free at u; when a
+    is taken at v, colors a and b (the smallest free at v) are swapped along
+    the a/b path from v.  That path enters u's side only by a-edges, and u
+    has none, so it never reaches u.  No padding to a regular graph is
+    needed.
     """
     delta = g.max_degree
-    if delta == 0:
-        return EdgeColoring({})
-    xs = list(bip.x_vertices())
-    ys = list(bip.y_vertices())
-    side = max(len(xs), len(ys))
-    # dummy vertices occupy ids after the real ones
-    total = g.vertex_count + (side - len(xs)) + (side - len(ys))
-    pad_x = list(range(g.vertex_count, g.vertex_count + side - len(xs)))
-    pad_y = list(range(g.vertex_count + len(pad_x), total))
-    all_x = xs + pad_x
-    all_y = ys + pad_y
-    deg = {v: 0 for v in all_x + all_y}
-    for v, d in enumerate(g.degrees):
-        deg[v] = d
-    edges = list(g.edges)
-    deficient_x = [v for v in all_x if deg[v] < delta]
-    deficient_y = [v for v in all_y if deg[v] < delta]
-    while deficient_x:
-        x, y = deficient_x[0], deficient_y[0]
-        edges.append((x, y))
-        deg[x] += 1
-        deg[y] += 1
-        if deg[x] == delta:
-            deficient_x.pop(0)
-        if deg[y] == delta:
-            deficient_y.pop(0)
-    assert not deficient_y
-    padded = Graph(total, tuple(edges))
-    side_of = [SIDE_X] * total
-    for v in all_y:
-        side_of[v] = SIDE_Y
-    matchings = peel_perfect_matchings(padded, Bipartition(tuple(side_of)), delta)
-    color_of: dict[int, int] = {}
-    for color, matching in enumerate(matchings, start=1):
-        for eid in matching:
-            if eid < g.edge_count:
-                color_of[eid] = color
-    assert len(color_of) == g.edge_count
-    return EdgeColoring(color_of)
+    edges = g.edges
+    at = [[-1] * (delta + 1) for _ in range(g.vertex_count)]  # at[v][c]: edge
+    color = [0] * g.edge_count
+    for eid, (u, v) in enumerate(edges):
+        if bip.side_of[u] == SIDE_X:
+            u, v = v, u
+        a = at[u].index(-1, 1)
+        if at[v][a] >= 0:
+            b = at[v].index(-1, 1)
+            path, w, c = [], v, a
+            while (e := at[w][c]) >= 0:
+                path.append(e)
+                w = g.other_end(e, w)
+                c = a + b - c
+            for e in path:
+                x, y = edges[e]
+                at[x][color[e]] = at[y][color[e]] = -1
+            for e in path:
+                color[e] = c = a + b - color[e]
+                x, y = edges[e]
+                at[x][c] = at[y][c] = e
+        color[eid] = a
+        at[u][a] = at[v][a] = eid
+    return EdgeColoring(dict(enumerate(color)))
 
 
 def matching_covering_max_degree(g: Graph, bip: Bipartition) -> Matching:

@@ -281,13 +281,19 @@ def gen_random_biregular(a: int, b: int, scale: int, seed: int) -> Graph:
 
 def _repair_multiedges(pairs: list[tuple[int, int]],
                        rng: random.Random, attempts: int) -> bool:
-    """Swap endpoints between random edge pairs until no duplicates remain."""
+    """Swap endpoints between random edge pairs until no duplicates remain.
+
+    A swap only creates pairs that were absent, so the first duplicate's
+    index never moves left and one forward pointer finds it.
+    """
     counts = Counter(pairs)
     n_dup = sum(c - 1 for c in counts.values())
+    i = 0
     for _ in range(attempts):
         if n_dup == 0:
             return True
-        i = next(idx for idx, p in enumerate(pairs) if counts[p] > 1)
+        while counts[pairs[i]] < 2:
+            i += 1
         j = rng.randrange(len(pairs))
         xi, yi = pairs[i]
         xj, yj = pairs[j]

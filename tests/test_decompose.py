@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palette_index.coloring import palette_summary, verify_proper
-from palette_index.decompose import (eulerian_circuit, konig_coloring,
+from palette_index.decompose import (Matching, eulerian_circuit,
+                                     konig_coloring,
                                      matching_covering_max_degree,
                                      maximum_matching, parity_split,
+                                     peel_perfect_matchings,
                                      split_part_vertices, two_factorization)
-from palette_index.graph import (GraphError, bipartition, biregular_profile,
-                                 build_graph, gen_complete_bipartite,
-                                 gen_random_biregular,
+from palette_index.graph import (SIDE_X, SIDE_Y, Bipartition, GraphError,
+                                 bipartition, biregular_profile, build_graph,
+                                 gen_complete_bipartite, gen_random_biregular,
                                  gen_random_even_bipartite)
 
 from conftest import bipartite_graphs
@@ -99,12 +104,63 @@ def test_maximum_matching_sizes():
 
 def test_maximum_matching_is_a_matching():
     g = gen_random_biregular(3, 5, 2, 9)
-    matching = maximum_matching(g, bipartition(g))
+    assert_is_matching(g, maximum_matching(g, bipartition(g)))
+
+
+def assert_is_matching(g, matching):
     touched = set()
     for eid in matching.edge_ids:
         u, v = g.edges[eid]
         assert u not in touched and v not in touched
         touched.update((u, v))
+
+
+def test_maximum_matching_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2)
+    for _ in range(200):
+        a, b = rng.randint(1, 8), rng.randint(1, 8)
+        pool = [(i, a + j) for i in range(a) for j in range(b)]
+        edges = rng.sample(pool, rng.randint(1, len(pool)))
+        edges += rng.choices(edges, k=rng.randint(0, 4))  # parallel edges
+        g = build_graph(a + b, edges)
+        bip = bipartition(g)
+        matching = maximum_matching(g, bip)
+        assert_is_matching(g, matching)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(a + b))
+        nxg.add_edges_from(edges)
+        reference = nx.bipartite.hopcroft_karp_matching(nxg, top_nodes=bip.x_vertices())
+        assert 2 * len(matching) == len(reference)
+
+
+def test_maximum_matching_on_a_long_path_keeps_the_recursion_limit():
+    # Edges are listed from the far end and the odd vertices form side X, so
+    # the first phase matches each x to its right neighbour and the last x is
+    # left with one augmenting path through the whole path.
+    n = 20_000
+    g = build_graph(n, [(i, i + 1) for i in reversed(range(n - 1))])
+    bip = Bipartition(tuple(SIDE_X if v % 2 else SIDE_Y for v in range(n)))
+    limit = sys.getrecursionlimit()
+    matching = maximum_matching(g, bip)
+    assert len(matching) == n // 2
+    assert_is_matching(g, matching)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_peel_perfect_matchings_rejects_a_non_regular_graph():
+    path = build_graph(4, [(0, 1), (1, 2), (2, 3)])  # has a perfect matching
+    with pytest.raises(GraphError):
+        peel_perfect_matchings(path, bipartition(path), 1)
+
+
+def test_peel_perfect_matchings_splits_a_regular_multigraph():
+    g = build_graph(4, [(0, 2), (0, 2), (0, 3), (1, 3), (1, 3), (1, 2)])
+    classes = peel_perfect_matchings(g, bipartition(g), 3)
+    assert sorted(e for cls in classes for e in cls) == list(range(6))
+    for cls in classes:
+        assert len(cls) == 2
+        assert_is_matching(g, Matching(cls))
 
 
 def test_konig_k33_single_palette():
@@ -131,11 +187,21 @@ def test_konig_single_edge():
     assert konig_coloring(g, bipartition(g)).color_of == {0: 1}
 
 
+@st.composite
+def bipartite_multigraphs(draw):
+    """Bipartite graphs with parallel edges, each edge stored either way round."""
+    a = draw(st.integers(1, 5))
+    b = draw(st.integers(1, 5))
+    pool = [(i, a + j) for i in range(a) for j in range(b)]
+    drawn = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                          min_size=1, max_size=24))
+    return build_graph(a + b, [(v, u) if flip else (u, v) for (u, v), flip in drawn])
+
+
 @settings(deadline=None)
-@given(bipartite_graphs())
+@given(bipartite_multigraphs())
 def test_konig_properness_and_color_count(g):
-    bip = bipartition(g)
-    coloring = konig_coloring(g, bip)
+    coloring = konig_coloring(g, bipartition(g))
     assert not verify_proper(g, coloring)
     assert coloring.colors_used() == g.max_degree
     full = frozenset(range(1, g.max_degree + 1))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -214,3 +215,19 @@ def test_random_biregular_always_matches_profile(profile, scale, seed):
     prof = biregular_profile(g)
     assert (prof.a, prof.b) == (a, b)
     assert g.is_simple()
+
+
+def test_seeded_generators_keep_their_output():
+    # pinned digests of seeded output: a change to it must be deliberate
+    def digest(graphs):
+        h = hashlib.sha256()
+        for g in graphs:
+            h.update(repr((g.vertex_count, g.edges)).encode())
+        return h.hexdigest()
+
+    even = [gen_random_even_bipartite(d, seed) for d in (2, 4, 6, 8) for seed in range(5)]
+    biregular = [gen_random_biregular(a, b, scale, seed)
+                 for a, b, scale in ((3, 5, 2), (4, 8, 3), (3, 9, 2), (6, 6, 2), (5, 10, 1))
+                 for seed in range(3)]
+    assert digest(even) == "3a821854315e7ccc37efd7f22bd82c7aa73e602f3c30959fc1016171cb89da13"
+    assert digest(biregular) == "e2672de83536f4d47b5c6b1d94f5a3530fbf962342e1dcb3e0937e982b074e24"

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import palette_index
+from palette_index import constructions
 from palette_index.analysis import upper_bound_catalog
 from palette_index.coloring import palette_summary
 from palette_index.constructions import (RouteFacts, color_auto,
@@ -91,3 +92,34 @@ def test_no_module_imports_a_private_name_from_a_sibling():
             offenders.extend(f"{path.name}: {alias.name}" for alias in node.names
                              if alias.name.startswith("_"))
     assert offenders == []
+
+
+def test_no_module_sets_the_recursion_limit():
+    offenders = []
+    for path in sorted(Path(palette_index.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            # `sys.setrecursionlimit` is an attribute; `from sys import ...` an alias
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "setrecursionlimit":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_auto_computes_the_deg5_matching_once(monkeypatch):
+    # balanced sides, maximum degree 5, not regular, with a perfect matching
+    g = build_graph(12, [(0, 6), (1, 6), (1, 10), (2, 6), (2, 7), (2, 8),
+                         (2, 11), (3, 8), (3, 9), (3, 11), (4, 8), (4, 9),
+                         (4, 10), (5, 6), (5, 7), (5, 9), (5, 10), (5, 11)])
+    calls = []
+    real = constructions.maximum_matching
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(constructions, "maximum_matching", counted)
+    result = color_auto(g)
+    assert result.theorem_tag == "deg5-perfect-matching"
+    assert len(calls) == 1
