@@ -53,10 +53,16 @@ def palette_index_exact(g: Graph,
     """Minimum number of distinct palettes over all proper edge colorings,
     with a witness coloring attaining it.
 
-    Branch and bound over canonical matching partitions.  Pruning uses the
-    running best, the palettes of already-saturated vertices, and the fact
-    that palettes of different sizes are always distinct.  When a budget
-    runs out the best coloring found so far is returned with proved=False.
+    Branch and bound over canonical matching partitions, on an explicit
+    stack so that only the budgets bound the search.  Edges are taken in a
+    fixed saturation-first order: vertices by ascending degree, each
+    listing its edges not yet listed.  Pruning uses the running best, the
+    palettes of already-saturated vertices, the fact that palettes of
+    different sizes are always distinct, and one more palette forced by an
+    endpoint whose palette no frozen palette of its size can extend.  Twin
+    vertices (same neighbours, no parallel edges) are ordered by a
+    lex-leader constraint.  When a budget runs out the best coloring found
+    so far is returned with proved=False.
     """
     limits = limits or SearchLimits()
     _check_solver_input(g)
@@ -65,119 +71,215 @@ def palette_index_exact(g: Graph,
         return PaletteIndexResult(0, EdgeColoring({}), True, 0)
 
     degs = g.degrees
-    order = sorted(range(m), key=lambda e: (-(degs[g.edges[e][0]] + degs[g.edges[e][1]]), e))
-    ends = [g.edges[e] for e in order]
-    degree_sizes = sorted(set(degs))
-    global_lb = len(degree_sizes)
+    global_lb = len(set(degs))  # palettes of different sizes differ
     cap = limits.max_colors if limits.max_colors is not None else m
     capped = cap < m
 
-    # greedy first-fit seed: independent upper bound and fallback witness
-    seed_assign = _greedy_blocks(g, order, ends)
-    best_value, best_assign = _partition_palettes(g, order, seed_assign), list(seed_assign)
+    # greedy first-fit seed in degree-sum order: independent upper bound and
+    # fallback witness; when it meets the degree-count bound nothing is left
+    seed_order = sorted(range(m), key=lambda e: (-(degs[g.edges[e][0]] + degs[g.edges[e][1]]), e))
+    seed_assign = _greedy_blocks([g.edges[e] for e in seed_order])
+    best_value = _partition_palettes(g, seed_order, seed_assign)
+    if best_value <= global_lb:
+        return PaletteIndexResult(best_value, _witness(seed_order, seed_assign),
+                                  not capped, 0)
+
+    order = _saturation_order(g)
+    ends = [g.edges[e] for e in order]
+    block_of = dict(zip(seed_order, seed_assign))
+    best_assign = [block_of[e] for e in order]
+    above = _twin_constraints(g, order)
 
     rem = list(degs)  # uncolored incident edges per vertex
     pal = [0] * g.vertex_count  # block-index bitmask per vertex
-    blocks: list[int] = []  # vertex bitmask per block
-    assign = [-1] * m
-    frozen: dict[int, int] = {}  # palette mask -> saturated-vertex count
-    size_seen = {d: 0 for d in degree_sizes}
-    missing = len(degree_sizes)
+    # per degree d: palette mask -> count of saturated degree-d vertices
+    frozen: list[dict[int, int]] = [{} for _ in range(g.max_degree + 1)]
+    missing = global_lb  # degrees no saturated vertex has yet
+    # per depth: blocks still to try, block taken, distinct count on entry,
+    # and what the step changed (1: u froze, 2: v froze, 4: opened a block)
+    todo = [0] * m
+    taken = [0] * m
+    entry_distinct = [0] * m
+    changed = [0] * m
     nodes = 0
     deadline = (time.monotonic() + limits.max_seconds
                 if limits.max_seconds is not None else None)
     max_nodes = limits.max_nodes
     out_of_budget = False
 
-    def freeze(v: int) -> int:
+    def freeze(w: int) -> int:
         nonlocal missing
-        key = pal[v]
-        frozen[key] = frozen.get(key, 0) + 1
-        gained = 1 if frozen[key] == 1 else 0
-        d = degs[v]
-        size_seen[d] += 1
-        if size_seen[d] == 1:
+        palettes = frozen[degs[w]]
+        key = pal[w]
+        seen = palettes.get(key, 0)
+        if not palettes:
             missing -= 1
-        return gained
+        palettes[key] = seen + 1
+        return 0 if seen else 1
 
-    def unfreeze(v: int) -> None:
+    def unfreeze(w: int) -> None:
         nonlocal missing
-        key = pal[v]
-        frozen[key] -= 1
-        if frozen[key] == 0:
-            del frozen[key]
-        d = degs[v]
-        size_seen[d] -= 1
-        if size_seen[d] == 0:
-            missing += 1
+        palettes = frozen[degs[w]]
+        key = pal[w]
+        if palettes[key] == 1:
+            del palettes[key]
+            if not palettes:
+                missing += 1
+        else:
+            palettes[key] -= 1
 
-    def search(idx: int, distinct: int) -> None:
-        nonlocal nodes, best_value, best_assign, out_of_budget
-        if best_value <= global_lb:
-            return
-        if idx == m:
-            if distinct < best_value:
-                best_value = distinct
-                best_assign = assign.copy()
-            return
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            out_of_budget = True
-            return
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            out_of_budget = True
-            return
-        u, v = ends[idx]
-        ubit, vbit = 1 << u, 1 << v
-        evbits = ubit | vbit
-        n_blocks = len(blocks)
-        limit = n_blocks + 1 if n_blocks < cap else n_blocks
-        for b in range(limit):
-            if b == n_blocks:
-                blocks.append(0)
-            elif blocks[b] & evbits:
+    def forces_new_palette(w: int) -> bool:
+        # w is unsaturated and its degree is already represented, so unless
+        # a frozen palette of its size extends pal[w], its palette is new
+        palettes = frozen[degs[w]]
+        if not palettes:
+            return False
+        pw = pal[w]
+        return all(key & pw != pw for key in palettes)
+
+    depth = 0
+    distinct = 0
+    count = 0  # blocks opened so far
+    descend = True
+    while True:
+        if descend:
+            if depth == m:
+                # every vertex is saturated, and the bound let only a
+                # strictly better partition through
+                best_value, best_assign = distinct, taken.copy()
+                if best_value <= global_lb:
+                    break
+                depth -= 1
+                descend = False
                 continue
-            bbit = 1 << b
-            old_block = blocks[b]
-            blocks[b] = old_block | evbits
-            pu, pv = pal[u], pal[v]
-            pal[u] = pu | bbit
-            pal[v] = pv | bbit
-            rem[u] -= 1
-            rem[v] -= 1
-            new_distinct = distinct
-            froze_u = rem[u] == 0
-            froze_v = rem[v] == 0
-            if froze_u:
-                new_distinct += freeze(u)
-            if froze_v:
-                new_distinct += freeze(v)
-            if new_distinct + missing < best_value:
-                assign[idx] = b
-                search(idx + 1, new_distinct)
-                assign[idx] = -1
-            if froze_v:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                out_of_budget = True
+                break
+            if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+                out_of_budget = True
+                break
+            u, v = ends[depth]
+            limit = count + 1 if count < cap else count
+            free = ~(pal[u] | pal[v]) & ((1 << limit) - 1)
+            for p in above[depth]:
+                free &= -(2 << taken[p])
+            entry_distinct[depth] = distinct
+        else:
+            u, v = ends[depth]
+            step = changed[depth]
+            if step & 2:
                 unfreeze(v)
-            if froze_u:
+            if step & 1:
                 unfreeze(u)
+            if step & 4:
+                count -= 1
+            bit = 1 << taken[depth]
+            pal[u] ^= bit
+            pal[v] ^= bit
             rem[u] += 1
             rem[v] += 1
-            pal[u], pal[v] = pu, pv
-            if b == n_blocks:
-                blocks.pop()
-            else:
-                blocks[b] = old_block
-            if out_of_budget or best_value <= global_lb:
-                return
+            distinct = entry_distinct[depth]
+            free = todo[depth]
+        descend = False
+        while free:
+            bit = free & -free
+            free ^= bit
+            pal[u] |= bit
+            pal[v] |= bit
+            rem[u] -= 1
+            rem[v] -= 1
+            step = 0
+            new_distinct = distinct
+            if rem[u] == 0:
+                new_distinct += freeze(u)
+                step = 1
+            if rem[v] == 0:
+                new_distinct += freeze(v)
+                step |= 2
+            slack = best_value - new_distinct - missing
+            if slack > 1 or (slack == 1
+                             and not (rem[u] and forces_new_palette(u))
+                             and not (rem[v] and forces_new_palette(v))):
+                b = bit.bit_length() - 1
+                if b == count:
+                    count += 1
+                    step |= 4
+                todo[depth] = free
+                taken[depth] = b
+                changed[depth] = step
+                distinct = new_distinct
+                depth += 1
+                descend = True
+                break
+            if step & 2:
+                unfreeze(v)
+            if step & 1:
+                unfreeze(u)
+            pal[u] ^= bit
+            pal[v] ^= bit
+            rem[u] += 1
+            rem[v] += 1
+        if not descend:
+            if depth == 0:
+                break
+            depth -= 1
 
-    search(0, 0)
-    witness = EdgeColoring({order[i]: best_assign[i] + 1 for i in range(m)})
     proved = not out_of_budget and not capped
-    return PaletteIndexResult(best_value, witness, proved, nodes)
+    return PaletteIndexResult(best_value, _witness(order, best_assign), proved, nodes)
 
 
-def _greedy_blocks(g: Graph, order: list[int], ends) -> list[int]:
-    """First-fit block assignment in search order; always succeeds."""
+def _witness(order: list[int], assign: list[int]) -> EdgeColoring:
+    return EdgeColoring({eid: assign[pos] + 1 for pos, eid in enumerate(order)})
+
+
+def _saturation_order(g: Graph) -> list[int]:
+    """Edge ids by vertex, vertices in ascending (degree, id), each listing
+    its edges not yet listed in id order: low-degree vertices saturate first."""
+    listed = [False] * g.edge_count
+    order = []
+    for v in sorted(range(g.vertex_count), key=lambda v: (g.degrees[v], v)):
+        for eid in g.incidence[v]:
+            if not listed[eid]:
+                listed[eid] = True
+                order.append(eid)
+    return order
+
+
+def _twin_constraints(g: Graph, order: list[int]) -> list[tuple[int, ...]]:
+    """For each position q of the order, the earlier positions p whose block
+    the edge at q must exceed.
+
+    Twins are vertices u < u' with the same neighbour set and no parallel
+    edge at either; swapping them is an automorphism.  With p the first
+    position of an edge at u or u', say xw, and q that of its twin x'w, the
+    lex-leader constraint for the swap is block[p] < block[q]: the edges
+    before p are fixed by the swap, and xw, x'w share w.
+    """
+    by_neighbours: dict[frozenset[int], list[int]] = {}
+    for v in range(g.vertex_count):
+        nbrs = [g.other_end(eid, v) for eid in g.incidence[v]]
+        key = frozenset(nbrs)
+        if len(key) == len(nbrs):
+            by_neighbours.setdefault(key, []).append(v)
+    above: list[tuple[int, ...]] = [()] * g.edge_count
+    pos = {eid: p for p, eid in enumerate(order)}
+    for twins in by_neighbours.values():
+        if len(twins) < 2:
+            continue
+        edge_to = {v: {g.other_end(eid, v): eid for eid in g.incidence[v]}
+                   for v in twins}
+        first = {v: min((pos[eid], w) for w, eid in edge_to[v].items()) for v in twins}
+        for i, u in enumerate(twins):
+            for u2 in twins[i + 1:]:
+                (p, w), other = min((first[u], u2), (first[u2], u))
+                q = pos[edge_to[other][w]]
+                above[q] += (p,)
+    return above
+
+
+def _greedy_blocks(ends) -> list[int]:
+    """First-fit block assignment in the given edge order; always succeeds."""
     blocks: list[set[int]] = []
     assign = []
     for u, v in ends:

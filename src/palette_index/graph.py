@@ -175,42 +175,47 @@ def biregular_profile(g: Graph) -> BiregularProfile | None:
         return None
     if g.has_isolated_vertices():
         return None
+    side = bip.side_of
+    degs = g.degrees
+    # label components in one pass, collecting the degree set of each side
+    comp = [-1] * g.vertex_count
+    side_degrees: list[tuple[set[int], set[int]]] = []
+    for root in range(g.vertex_count):
+        if comp[root] != -1:
+            continue
+        label = len(side_degrees)
+        sets: tuple[set[int], set[int]] = (set(), set())
+        side_degrees.append(sets)
+        comp[root] = label
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            sets[side[v]].add(degs[v])
+            for eid in g.incidence[v]:
+                w = g.other_end(eid, v)
+                if comp[w] == -1:
+                    comp[w] = label
+                    stack.append(w)
     pair: tuple[int, int] | None = None  # (a, b) with a <= b
-    x_verts: list[int] = []
-    y_verts: list[int] = []
-    for comp in components(g):
-        local_bip = Bipartition(tuple(bip.side_of[v] for v in comp.vertex_ids))
-        degs = comp.graph.degrees
-        side0 = {degs[v] for v in range(comp.graph.vertex_count)
-                 if local_bip.side_of[v] == SIDE_X}
-        side1 = {degs[v] for v in range(comp.graph.vertex_count)
-                 if local_bip.side_of[v] == SIDE_Y}
-        if len(side0) != 1 or (side1 and len(side1) != 1):
+    lo_side: list[int] = []  # per component, the side that goes to X
+    for side0, side1 in side_degrees:
+        # no vertex is isolated, so both sides of a component are non-empty
+        if len(side0) != 1 or len(side1) != 1:
             return None
-        d0 = side0.pop()
-        d1 = side1.pop() if side1 else d0
+        (d0,), (d1,) = side0, side1
         lo, hi = min(d0, d1), max(d0, d1)
         if pair is None:
             pair = (lo, hi)
         elif pair != (lo, hi):
             return None
         # orient so the low-degree part contributes to X
-        if d0 <= d1:
-            lo_side = SIDE_X
-        else:
-            lo_side = SIDE_Y
-        for v in range(comp.graph.vertex_count):
-            host = comp.vertex_ids[v]
-            on_lo = (local_bip.side_of[v] == lo_side)
-            if d0 == d1:
-                on_lo = local_bip.side_of[v] == SIDE_X
-            (x_verts if on_lo else y_verts).append(host)
+        lo_side.append(SIDE_X if d0 <= d1 else SIDE_Y)
+    x_verts = [v for v in range(g.vertex_count) if side[v] == lo_side[comp[v]]]
+    y_verts = [v for v in range(g.vertex_count) if side[v] != lo_side[comp[v]]]
     assert pair is not None
     a, b = pair
     if a < 1:
         return None
-    x_verts.sort()
-    y_verts.sort()
     return BiregularProfile(a, b, len(x_verts), len(y_verts),
                             tuple(x_verts), tuple(y_verts))
 

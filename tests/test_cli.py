@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import re
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palette_index.cli import cli_main
-from palette_index.fileformat import parse_coloring, parse_graph, serialize_graph
-from palette_index.graph import gen_complete_bipartite, gen_grid
+from palette_index.fileformat import (FormatError, parse_coloring, parse_graph,
+                                      serialize_graph)
+from palette_index.graph import (GraphError, gen_complete_bipartite, gen_grid,
+                                 gen_random_biregular)
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +79,14 @@ def test_exact_budget_exit_code(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "exact", gpath, "--max-nodes", "3")
     assert code == 3
     assert "proved=false" in out
+
+
+def test_exact_budget_on_1280_edges_exits_3_without_traceback(capsys, tmp_path):
+    gpath = write_graph(tmp_path, gen_random_biregular(4, 8, 40, 1))
+    code, out, err = run_cli(capsys, "exact", gpath, "--max-nodes", "5000")
+    assert code == 3
+    assert "proved=false" in out
+    assert "Traceback" not in err
 
 
 def test_verify_tampered_coloring(capsys, tmp_path):
@@ -139,3 +156,45 @@ def test_suite_empty_filter_passes(capsys):
     code, out, _ = run_cli(capsys, "suite", "--filter", "no-such-case")
     assert code == 0
     assert out.strip() == "suite status=pass passed=0/0"
+
+
+# Text near the two file formats: keywords, small integers (so a header
+# never asks for a large graph) and short junk, a few tokens per line; and
+# well-formed graph files on at most 6 vertices, which may have isolated
+# vertices and parallel edges.
+_TOKENS = st.one_of(st.sampled_from(["p", "e", "s", "c", "#", "x=1"]),
+                    st.integers(-2, 9).map(str), st.text(max_size=3))
+_FORMAT_LIKE = st.lists(st.lists(_TOKENS, max_size=4).map(" ".join),
+                        max_size=8).map("\n".join)
+_GRAPH_LIKE = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(
+    lambda e: e[0] != e[1]), max_size=10).map(lambda edges: "\n".join(
+    [f"p {max((max(e) for e in edges), default=0)} {len(edges)}"]
+    + [f"e {u} {v}" for u, v in edges]))
+# Arbitrary text without three digits in a row, for the same reason.
+_JUNK = st.text(max_size=40).filter(lambda t: not re.search(r"[\d_]{3}", t))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.text(), _FORMAT_LIKE))
+def test_parsers_raise_only_format_errors(text):
+    for parse in (parse_graph, parse_coloring):
+        try:
+            parse(text)
+        except (FormatError, GraphError):
+            pass
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(_JUNK, _FORMAT_LIKE, _GRAPH_LIKE))
+def test_bounds_exit_code_contract_on_any_text(text):
+    # the graph comes from stdin ("-"): it skips a file write per example
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli_main(["bounds", "-"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -42,6 +42,42 @@ def test_eulerian_circuit_rejects_odd_degree():
         eulerian_circuit(build_graph(3, [(0, 1), (1, 2)]))
 
 
+def test_eulerian_circuit_agrees_with_networkx_components():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(4)
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        edges = []
+        for _ in range(rng.randint(0, 5)):  # a union of closed walks is even
+            walk = [rng.randrange(n)]
+            for _ in range(rng.randint(1, 6)):
+                walk.append(rng.choice([v for v in range(n) if v != walk[-1]]))
+            if walk[-1] == walk[0]:
+                walk.pop()
+            if len(walk) > 1:
+                edges += [(walk[i - 1], walk[i]) for i in range(1, len(walk))]
+                edges.append((walk[-1], walk[0]))
+        g = build_graph(n, edges)
+        circuits = eulerian_circuit(g)
+        nxg = nx.MultiGraph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(edges)
+        nontrivial = [c for c in nx.connected_components(nxg) if len(c) > 1]
+        assert len(circuits) == len(nontrivial)
+        covered = []
+        for circuit in circuits:
+            start = v = min(g.edges[circuit[0]])
+            comp = nx.node_connected_component(nxg, start)
+            assert sorted(circuit) == [eid for eid, (a, _) in enumerate(edges)
+                                       if a in comp]
+            for eid in circuit:  # a closed trail from its smallest vertex
+                assert v in g.edges[eid]
+                v = g.other_end(eid, v)
+            assert v == start
+            covered += circuit
+        assert sorted(covered) == list(range(len(edges)))
+
+
 def test_eulerian_circuit_consecutive_edges_share_vertices():
     g = gen_random_even_bipartite(4, 5)
     for circuit in eulerian_circuit(g):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from palette_index.exact import (BudgetExhausted, SearchLimits,
                                  palette_index_naive, vizing_coloring)
 from palette_index.graph import (GraphError, build_graph,
                                  gen_complete_bipartite, gen_grid,
-                                 without_isolated)
+                                 gen_random_biregular, without_isolated)
 
 from conftest import simple_graphs
 
@@ -82,6 +84,55 @@ def test_solver_matches_naive_enumeration(g):
     if g.vertex_count < 2:
         return
     assert palette_index_exact(g).value == palette_index_naive(g)
+
+
+@st.composite
+def twin_rich_graphs(draw):
+    """Subgraphs of K_{a,b} with a <= 3 and b <= 4, which have many twin
+    vertices, maybe with one edge doubled."""
+    a = draw(st.integers(1, 3))
+    b = draw(st.integers(1, 4))
+    pool = [(i, a + j) for i in range(a) for j in range(b)]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, min_size=1,
+                          max_size=8))
+    if draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))
+    g, _ = without_isolated(build_graph(a + b, draw(st.permutations(edges))))
+    return g
+
+
+@settings(deadline=None, max_examples=150)
+@given(twin_rich_graphs())
+def test_solver_matches_naive_on_twin_rich_graphs(g):
+    result = palette_index_exact(g)
+    assert result.proved
+    assert result.value == palette_index_naive(g)
+    assert not verify_proper(g, result.witness)
+    assert palette_summary(g, result.witness).distinct == result.value
+
+
+def test_vertices_with_parallel_edges_are_not_twins():
+    # 4 and 5 both see {1, 2}, but 5 meets 2 twice: swapping them is no
+    # automorphism, and ordering them as twins would lose the optimum
+    g = build_graph(6, [(0, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (2, 5)])
+    assert palette_index_exact(g).value == palette_index_naive(g) == 4
+
+
+def test_palette_index_k46_is_proved_within_the_budget():
+    result = palette_index_exact(gen_complete_bipartite(4, 6),
+                                 SearchLimits(max_nodes=300_000))
+    assert result.value == 4 and result.proved
+
+
+def test_palette_index_budget_on_1280_edges_keeps_the_recursion_limit():
+    g = gen_random_biregular(4, 8, 40, 1)
+    assert g.edge_count == 1280
+    limit = sys.getrecursionlimit()
+    result = palette_index_exact(g, SearchLimits(max_nodes=5000))
+    assert sys.getrecursionlimit() == limit
+    assert not result.proved and result.nodes == 5001
+    assert not verify_proper(g, result.witness)
+    assert palette_summary(g, result.witness).distinct == result.value >= 3
 
 
 def test_chromatic_index_examples():

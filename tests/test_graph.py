@@ -59,6 +59,23 @@ def test_bipartition_deterministic_root_side():
     assert len(bip.x_vertices()) == 2 and len(bip.y_vertices()) == 3
 
 
+def test_bipartition_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = rng.sample(pool, rng.randint(0, min(len(pool), 14)))
+        g = build_graph(n, edges)
+        bip = bipartition(g)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(edges)
+        assert (bip is not None) == nx.is_bipartite(nxg)
+        if bip is not None:
+            assert all(bip.side_of[u] != bip.side_of[v] for u, v in edges)
+
+
 def test_biregular_profile_k24():
     prof = biregular_profile(gen_complete_bipartite(2, 4))
     assert (prof.a, prof.b, prof.x_count, prof.y_count) == (2, 4, 4, 2)
@@ -204,6 +221,60 @@ def test_even_bipartite_generator_invariants(half_max, seed):
     assert g.max_degree == 2 * half_max
     assert bipartition(g) is not None
     assert g.is_simple()
+
+
+@st.composite
+def unions_of_complete_bipartite(draw):
+    """Disjoint unions of K_{p,q} with p, q <= 3 (either way round, so the
+    low-degree side of a component may hold its smallest vertex or not),
+    labels shuffled, sometimes one edge removed."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                           min_size=1, max_size=4))
+    edges, n = [], 0
+    for p, q in shapes:
+        edges += [(n + i, n + p + j) for i in range(p) for j in range(q)]
+        n += p + q
+    perm = draw(st.permutations(range(n)))
+    edges = [(perm[u], perm[v]) for u, v in edges]
+    if len(edges) > 1 and draw(st.booleans()):
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    return build_graph(n, edges)
+
+
+def profile_by_components(g):
+    """The profile read off one component Graph at a time."""
+    bip = bipartition(g)
+    if bip is None or g.vertex_count == 0 or g.has_isolated_vertices():
+        return None
+    pairs, x_verts = set(), []
+    for comp in components(g):
+        d0, d1 = ({g.degrees[v] for v in comp.vertex_ids if bip.side_of[v] == side}
+                  for side in (0, 1))
+        if len(d0) != 1 or len(d1) != 1:
+            return None
+        d0, d1 = d0.pop(), d1.pop()
+        pairs.add((min(d0, d1), max(d0, d1)))
+        lo_side = 0 if d0 <= d1 else 1
+        x_verts += [v for v in comp.vertex_ids if bip.side_of[v] == lo_side]
+    if len(pairs) != 1:
+        return None
+    a, b = pairs.pop()
+    return a, b, tuple(sorted(x_verts))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(unions_of_complete_bipartite(), simple_graphs(max_n=8, max_m=10)))
+def test_biregular_profile_matches_the_per_component_reading(g):
+    prof = biregular_profile(g)
+    expected = profile_by_components(g)
+    if expected is None:
+        assert prof is None
+    else:
+        assert (prof.a, prof.b, prof.x_vertices) == expected
+        assert prof.y_vertices == tuple(v for v in range(g.vertex_count)
+                                        if v not in prof.x_vertices)
+        assert (prof.x_count, prof.y_count) == (len(prof.x_vertices),
+                                                len(prof.y_vertices))
 
 
 @settings(deadline=None)
