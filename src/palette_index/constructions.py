@@ -173,10 +173,8 @@ def _color_deg5(g: Graph, bip: Bipartition, mm: Matching) -> ConstructionResult:
     else:
         matching, bound, tag = (matching_covering_max_degree(g, bip), 23, "deg5")
     rest = [eid for eid in range(g.edge_count) if eid not in matching.edge_ids]
-    sub, kept = edge_subgraph(g, rest)
-    trimmed, _ = without_isolated(sub)  # edge ids survive the trim
-    inner = color_via_doubling(trimmed)
-    colors = {kept[ne]: c for ne, c in inner.coloring.color_of.items()}
+    colors: dict[int, int] = {}
+    _color_part(g, rest, color_via_doubling, colors)
     for eid in matching.edge_ids:
         colors[eid] = 5
     return _finish(g, colors, bound, tag)
@@ -392,15 +390,23 @@ def _perfect_matching_pullback(g: Graph, bip: Bipartition,
     return peel_perfect_matchings(split, split_bip, unit)[0]
 
 
-def _color_pair_scheme(g: Graph, edge_ids, shift: int,
-                       colors: dict[int, int]) -> None:
-    """Run the even-bipartite pair coloring on an edge subset and merge the
-    shifted colors into `colors`."""
+def _color_part(g: Graph, edge_ids, build: Callable[[Graph], ConstructionResult],
+                colors: dict[int, int], shift: int = 0) -> None:
+    """Color the subgraph on an edge subset, isolated vertices dropped, with
+    `build`, and merge the shifted colors into `colors` under g's edge ids."""
     sub, kept = edge_subgraph(g, edge_ids)
-    trimmed, vmap = without_isolated(sub)
-    inner = color_even_bipartite(trimmed)
-    for ne, c in inner.coloring.color_of.items():
+    trimmed, _ = without_isolated(sub)  # edge ids survive the trim
+    for ne, c in build(trimmed).coloring.color_of.items():
         colors[kept[ne]] = c + shift
+
+
+def _color_factor(g: Graph, factor: frozenset[int], big_side: tuple[int, ...],
+                  first: int, colors: dict[int, int]) -> None:
+    """Give each big-side vertex's factor edges, in id order, the colors
+    first, first+1, ..."""
+    for y in big_side:
+        for k, eid in enumerate(e for e in g.incidence[y] if e in factor):
+            colors[eid] = first + k
 
 
 def color_3_3r(g: Graph) -> ConstructionResult:
@@ -415,19 +421,14 @@ def color_3_3r(g: Graph) -> ConstructionResult:
     factor = _perfect_matching_pullback(g, bip, 3)
     rest = [eid for eid in range(g.edge_count) if eid not in factor]
     colors: dict[int, int] = {}
-    _color_pair_scheme(g, rest, 0, colors)
+    _color_part(g, rest, color_even_bipartite, colors)
     if prof.a == 3:
-        for y in prof.y_vertices:
-            f_edges = sorted(e for e in g.incidence[y] if e in factor)
-            for k, eid in enumerate(f_edges):
-                colors[eid] = 2 * r + 1 + k
+        _color_factor(g, factor, prof.y_vertices, 2 * r + 1, colors)
     else:
         # each small-side vertex holds r-1 factor edges, so per-vertex color
         # lists could clash; a degree-many coloring of F avoids that
-        fsub, fkept = edge_subgraph(g, factor)
-        fcol = konig_coloring(fsub, bip)
-        for ne, c in fcol.color_of.items():
-            colors[fkept[ne]] = 2 * r + c
+        _color_part(g, factor, lambda h: _konig_result(h, RouteFacts(h)),
+                    colors, 2 * r)
     tag = "deg3-multiple" if prof.a == 3 else "deg3-multiple-complement"
     return _finish(g, colors, bound, tag)
 
@@ -440,8 +441,8 @@ def color_4_4r(g: Graph) -> ConstructionResult:
     r = prof.b // 4
     red, blue = parity_split(g)
     colors: dict[int, int] = {}
-    _color_pair_scheme(g, red, 0, colors)
-    _color_pair_scheme(g, blue, 2 * r, colors)
+    _color_part(g, red, color_even_bipartite, colors)
+    _color_part(g, blue, color_even_bipartite, colors, 2 * r)
     tag = "deg4-multiple" if prof.a == 4 else "deg4-multiple-complement"
     return _finish(g, colors, bound, tag)
 
@@ -454,13 +455,9 @@ def color_5_5r(g: Graph) -> ConstructionResult:
     r = prof.b // 5
     factor = _perfect_matching_pullback(g, bip, 5)
     rest = [eid for eid in range(g.edge_count) if eid not in factor]
-    sub, kept = edge_subgraph(g, rest)
-    inner = color_4_4r(sub)
-    colors = {kept[ne]: c for ne, c in inner.coloring.color_of.items()}
-    for y in prof.y_vertices:
-        f_edges = sorted(e for e in g.incidence[y] if e in factor)
-        for k, eid in enumerate(f_edges):
-            colors[eid] = 4 * r + 1 + k
+    colors: dict[int, int] = {}
+    _color_part(g, rest, color_4_4r, colors)
+    _color_factor(g, factor, prof.y_vertices, 4 * r + 1, colors)
     return _finish(g, colors, bound, "deg5-multiple")
 
 
@@ -480,20 +477,17 @@ def color_r_2r(g: Graph) -> ConstructionResult:
         split, split_bip = _split_both_sides(g, bip, k)
         pieces = peel_perfect_matchings(split, split_bip, k)
         for i, piece in enumerate(pieces):
-            _color_pair_scheme(g, piece, 4 * i, colors)
+            _color_part(g, piece, color_even_bipartite, colors, 4 * i)
     else:
         k = (r - 1) // 2
         h, back = split_part_vertices(g, bip, "Y", r)
         factor = peel_perfect_matchings(h, _remap_side(bip, back), r)[0]
         rest = [eid for eid in range(g.edge_count) if eid not in factor]
-        sub, kept = edge_subgraph(g, rest)
-        inner = color_r_2r(sub)  # (2k,4k)-biregular, lands in the even case
-        colors = {kept[ne]: c for ne, c in inner.coloring.color_of.items()}
-        for y in prof.y_vertices:
-            f_edges = sorted(e for e in g.incidence[y] if e in factor)
-            assert len(f_edges) == 2
-            colors[f_edges[0]] = 4 * k + 1
-            colors[f_edges[1]] = 4 * k + 2
+        # the rest is (2k,4k)-biregular and lands in the even case
+        _color_part(g, rest, color_r_2r, colors)
+        _color_factor(g, factor, prof.y_vertices, 4 * k + 1, colors)
+        assert all(sum(e in factor for e in g.incidence[y]) == 2
+                   for y in prof.y_vertices)
     return _finish(g, colors, bound, "half-degree-family")
 
 
@@ -503,9 +497,8 @@ def color_3_5(g: Graph) -> ConstructionResult:
     _, bip, bound = _family_member(g, "deg35-family")
     mm = matching_covering_max_degree(g, bip)
     rest = [eid for eid in range(g.edge_count) if eid not in mm.edge_ids]
-    sub, kept = edge_subgraph(g, rest)
-    inner = color_via_doubling(sub)
-    colors = {kept[ne]: c for ne, c in inner.coloring.color_of.items()}
+    colors: dict[int, int] = {}
+    _color_part(g, rest, color_via_doubling, colors)
     for eid in mm.edge_ids:
         colors[eid] = 5
     return _finish(g, colors, bound, "deg35-matching")
@@ -537,46 +530,43 @@ def _interval_coloring_search(g: Graph, prof: BiregularProfile, t: int,
     used = [0] * g.vertex_count  # bitmask of colors present at each vertex
     lo = [t + 1] * g.vertex_count
     hi = [0] * g.vertex_count
-    assignment: dict[int, int] = {}
+    color = [0] * len(order)  # color placed at each depth, 0 for none
+    saved: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)] * len(order)
     nodes = 0
-
-    def feasible(v: int, c: int) -> bool:
-        return max(hi[v], c) - min(lo[v], c) < deg[v]
-
-    def place(idx: int) -> bool:
-        nonlocal nodes
-        if idx == len(order):
-            return True
-        eid = order[idx]
-        u, v = g.edges[eid]
-        for c in range(1, t + 1):
+    idx = 0
+    while 0 <= idx < len(order):
+        u, v = g.edges[order[idx]]
+        c = color[idx]
+        if c:  # back at this depth: take its color off before trying the next
+            used[u] &= ~(1 << c)
+            used[v] &= ~(1 << c)
+            lo[u], hi[u], lo[v], hi[v] = saved[idx]
+        for c in range(c + 1, t + 1):
             bit = 1 << c
             if (used[u] | used[v]) & bit:
                 continue
-            if not (feasible(u, c) and feasible(v, c)):
+            if not (max(hi[u], c) - min(lo[u], c) < deg[u]
+                    and max(hi[v], c) - min(lo[v], c) < deg[v]):
                 continue
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetError(
                     f"interval coloring search exceeded {budget} nodes")
-            saved = (lo[u], hi[u], lo[v], hi[v])
+            saved[idx] = (lo[u], hi[u], lo[v], hi[v])
             used[u] |= bit
             used[v] |= bit
             lo[u], hi[u] = min(lo[u], c), max(hi[u], c)
             lo[v], hi[v] = min(lo[v], c), max(hi[v], c)
-            assignment[eid] = c
-            if place(idx + 1):
-                return True
-            del assignment[eid]
-            used[u] &= ~bit
-            used[v] &= ~bit
-            lo[u], hi[u], lo[v], hi[v] = saved
-        return False
-
-    if not place(0):
+            color[idx] = c
+            idx += 1
+            break
+        else:
+            color[idx] = 0
+            idx -= 1
+    if idx < 0:
         raise SearchBudgetError("no block-interval coloring found "
                                 f"with {t} colors (search exhausted)")
-    return dict(assignment)
+    return dict(zip(order, color))
 
 
 def _star_coloring(g: Graph) -> ConstructionResult:

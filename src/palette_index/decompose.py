@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring
-from .graph import SIDE_X, SIDE_Y, Bipartition, Graph, GraphError, components
+from .graph import SIDE_X, SIDE_Y, Bipartition, Graph, GraphError
 
 
 @dataclass(frozen=True)
@@ -41,44 +41,39 @@ class FactorSet:
 def eulerian_circuit(g: Graph) -> list[list[int]]:
     """One closed Eulerian trail per component with edges, as edge-id lists.
 
-    Requires every degree to be even.  Each trail starts at the smallest
-    vertex id of its component and is produced by Hierholzer stitching with
-    smallest-unused-edge tie-breaking.
+    Requires every degree to be even.  Hierholzer stitching with
+    smallest-unused-edge tie-breaking runs on the host graph from each
+    vertex, in id order, that still has an unused edge, so each trail starts
+    at the smallest vertex id of its component.
     """
     for v, d in enumerate(g.degrees):
         if d % 2 != 0:
             raise GraphError(f"vertex {v} has odd degree {d}; no Eulerian circuit")
-    circuits: list[list[int]] = []
-    for comp in components(g):
-        if comp.graph.edge_count == 0:
-            continue
-        local = _hierholzer(comp.graph, 0)
-        circuits.append([comp.edge_ids[eid] for eid in local])
-    return circuits
-
-
-def _hierholzer(g: Graph, start: int) -> list[int]:
-    """Edge ids of a closed Eulerian trail of a connected even graph."""
     used = [False] * g.edge_count
     ptr = [0] * g.vertex_count
-    stack: list[tuple[int, int]] = [(start, -1)]  # (vertex, edge used to arrive)
-    trail: list[int] = []
-    while stack:
-        v, in_edge = stack[-1]
-        inc = g.incidence[v]
-        while ptr[v] < len(inc) and used[inc[ptr[v]]]:
-            ptr[v] += 1
-        if ptr[v] == len(inc):
-            stack.pop()
-            if in_edge >= 0:
-                trail.append(in_edge)
-        else:
-            eid = inc[ptr[v]]
-            used[eid] = True
-            stack.append((g.other_end(eid, v), eid))
-    trail.reverse()
-    assert len(trail) == g.edge_count
-    return trail
+    circuits: list[list[int]] = []
+    for start in range(g.vertex_count):
+        if ptr[start] == len(g.incidence[start]):
+            continue  # isolated, or its component's trail is done
+        stack: list[tuple[int, int]] = [(start, -1)]  # (vertex, edge used to arrive)
+        trail: list[int] = []
+        while stack:
+            v, in_edge = stack[-1]
+            inc = g.incidence[v]
+            while ptr[v] < len(inc) and used[inc[ptr[v]]]:
+                ptr[v] += 1
+            if ptr[v] == len(inc):
+                stack.pop()
+                if in_edge >= 0:
+                    trail.append(in_edge)
+            else:
+                eid = inc[ptr[v]]
+                used[eid] = True
+                stack.append((g.other_end(eid, v), eid))
+        trail.reverse()
+        circuits.append(trail)
+    assert sum(map(len, circuits)) == g.edge_count
+    return circuits
 
 
 def two_factorization(g: Graph) -> FactorSet:

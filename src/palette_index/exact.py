@@ -394,31 +394,35 @@ def _edge_colorable(g: Graph, k: int, limits: SearchLimits) -> bool:
     max_nodes = limits.max_nodes
     deadline = (time.monotonic() + limits.max_seconds
                 if limits.max_seconds is not None else None)
-
-    def place(idx: int, high: int) -> bool:
-        nonlocal nodes
-        if idx == m:
-            return True
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise BudgetExhausted(f"edge coloring search exceeded {max_nodes} nodes")
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            raise BudgetExhausted("edge coloring search hit the wall budget")
+    color = [0] * m  # color of the edge at each depth, 0 before its first try
+    high = [0] * (m + 1)  # highest color used by the edges before each depth
+    idx = 0
+    while 0 <= idx < m:
         u, v = ends[idx]
-        top = min(k, high + 1)
-        for c in range(1, top + 1):
+        c = color[idx]
+        if c:  # back at this depth: take its color off before trying the next
+            used[u] &= ~(1 << c)
+            used[v] &= ~(1 << c)
+        else:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise BudgetExhausted(f"edge coloring search exceeded {max_nodes} nodes")
+            if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+                raise BudgetExhausted("edge coloring search hit the wall budget")
+        for c in range(c + 1, min(k, high[idx] + 1) + 1):
             bit = 1 << c
             if (used[u] | used[v]) & bit:
                 continue
             used[u] |= bit
             used[v] |= bit
-            if place(idx + 1, max(high, c)):
-                return True
-            used[u] &= ~bit
-            used[v] &= ~bit
-        return False
-
-    return place(0, 0)
+            color[idx] = c
+            high[idx + 1] = max(high[idx], c)
+            idx += 1
+            break
+        else:
+            color[idx] = 0
+            idx -= 1
+    return idx == m
 
 
 def vizing_coloring(g: Graph) -> EdgeColoring:

@@ -164,60 +164,33 @@ def bipartition(g: Graph) -> Bipartition | None:
 
 
 def biregular_profile(g: Graph) -> BiregularProfile | None:
-    """Detect an (a,b)-biregular structure, choosing sides per component.
+    """Detect an (a,b)-biregular structure.
 
     Returns None unless g is bipartite and, component by component, one part
     is degree-homogeneous with degree a and the other with degree b (a <= b
     after normalization).  Graphs with isolated vertices never qualify.
+
+    For a < b that holds exactly when every edge joins a degree-a vertex to a
+    degree-b vertex, so the degree classes are the sides; a regular graph
+    takes the sides of `bipartition`.
     """
-    bip = bipartition(g)
-    if bip is None or g.vertex_count == 0:
-        return None
-    if g.has_isolated_vertices():
-        return None
-    side = bip.side_of
     degs = g.degrees
-    # label components in one pass, collecting the degree set of each side
-    comp = [-1] * g.vertex_count
-    side_degrees: list[tuple[set[int], set[int]]] = []
-    for root in range(g.vertex_count):
-        if comp[root] != -1:
-            continue
-        label = len(side_degrees)
-        sets: tuple[set[int], set[int]] = (set(), set())
-        side_degrees.append(sets)
-        comp[root] = label
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            sets[side[v]].add(degs[v])
-            for eid in g.incidence[v]:
-                w = g.other_end(eid, v)
-                if comp[w] == -1:
-                    comp[w] = label
-                    stack.append(w)
-    pair: tuple[int, int] | None = None  # (a, b) with a <= b
-    lo_side: list[int] = []  # per component, the side that goes to X
-    for side0, side1 in side_degrees:
-        # no vertex is isolated, so both sides of a component are non-empty
-        if len(side0) != 1 or len(side1) != 1:
-            return None
-        (d0,), (d1,) = side0, side1
-        lo, hi = min(d0, d1), max(d0, d1)
-        if pair is None:
-            pair = (lo, hi)
-        elif pair != (lo, hi):
-            return None
-        # orient so the low-degree part contributes to X
-        lo_side.append(SIDE_X if d0 <= d1 else SIDE_Y)
-    x_verts = [v for v in range(g.vertex_count) if side[v] == lo_side[comp[v]]]
-    y_verts = [v for v in range(g.vertex_count) if side[v] != lo_side[comp[v]]]
-    assert pair is not None
-    a, b = pair
-    if a < 1:
+    degree_set = g.degree_set()
+    if not degree_set or degree_set[0] == 0 or len(degree_set) > 2:
         return None
-    return BiregularProfile(a, b, len(x_verts), len(y_verts),
-                            tuple(x_verts), tuple(y_verts))
+    if len(degree_set) == 1:
+        bip = bipartition(g)
+        if bip is None:
+            return None
+        a = b = degree_set[0]
+        x_verts, y_verts = bip.x_vertices(), bip.y_vertices()
+    else:
+        a, b = degree_set
+        if any(degs[u] == degs[v] for u, v in g.edges):
+            return None
+        x_verts = tuple(v for v in range(g.vertex_count) if degs[v] == a)
+        y_verts = tuple(v for v in range(g.vertex_count) if degs[v] == b)
+    return BiregularProfile(a, b, len(x_verts), len(y_verts), x_verts, y_verts)
 
 
 def gen_complete_bipartite(a: int, b: int) -> Graph:
@@ -271,17 +244,14 @@ def gen_random_biregular(a: int, b: int, scale: int, seed: int) -> Graph:
         # the only simple realization is complete
         edges = sorted((x, x_count + y) for x in range(x_count) for y in range(y_count))
         return Graph(x_count + y_count, tuple(edges))
-    x_stubs = [x for x in range(x_count) for _ in range(a)]
     budget = 10 * scale * b
-    for _ in range(budget):
-        y_stubs = [x_count + y for y in range(y_count) for _ in range(b)]
-        rng.shuffle(y_stubs)
-        pairs = list(zip(x_stubs, y_stubs))
-        if _repair_multiedges(pairs, rng, attempts=50 * len(pairs)):
-            return Graph(x_count + y_count, tuple(sorted(pairs)))
-    raise GraphError(
-        f"could not realize a simple ({a},{b})-biregular graph at scale {scale} "
-        f"within {budget} restarts; parameters too tight")
+    g = _random_bipartite_with_degrees([a] * x_count, [b] * y_count, rng,
+                                       restarts=budget)
+    if g is None:
+        raise GraphError(
+            f"could not realize a simple ({a},{b})-biregular graph at scale {scale} "
+            f"within {budget} restarts; parameters too tight")
+    return g
 
 
 def _repair_multiedges(pairs: list[tuple[int, int]],
@@ -403,7 +373,7 @@ def gen_random_even_bipartite(max_degree: int, seed: int) -> Graph:
         y_degs = _split_into_even_parts(total, y_count, max_degree)
         if y_degs is None or max(y_degs) > len(x_degs):
             continue
-        g = _random_bipartite_with_degrees(x_degs, y_degs, rng)
+        g = _random_bipartite_with_degrees(x_degs, y_degs, rng, restarts=40)
         if g is not None:
             return g
     raise GraphError(f"failed to sample an even bipartite graph for seed {seed}")
@@ -423,13 +393,14 @@ def _split_into_even_parts(total: int, count: int, cap: int) -> list[int] | None
 
 
 def _random_bipartite_with_degrees(x_degs: list[int], y_degs: list[int],
-                                   rng: random.Random) -> Graph | None:
+                                   rng: random.Random, restarts: int) -> Graph | None:
     """Configuration pairing with repair for an arbitrary bipartite degree
-    sequence; None when a simple realization was not found."""
+    sequence; None when no simple realization was found within `restarts`
+    fresh pairings."""
     assert sum(x_degs) == sum(y_degs)
     nx = len(x_degs)
     x_stubs = [x for x, d in enumerate(x_degs) for _ in range(d)]
-    for _ in range(40):
+    for _ in range(restarts):
         y_stubs = [nx + y for y, d in enumerate(y_degs) for _ in range(d)]
         rng.shuffle(y_stubs)
         pairs = list(zip(x_stubs, y_stubs))

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from palette_index.cli import cli_main
 from palette_index.fileformat import (FormatError, parse_coloring, parse_graph,
                                       serialize_graph)
-from palette_index.graph import (GraphError, gen_complete_bipartite, gen_grid,
-                                 gen_random_biregular)
+from palette_index.graph import (GraphError, build_graph, gen_complete_bipartite,
+                                 gen_grid, gen_random_biregular)
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +65,18 @@ def test_color_stdout_stream_reparses(capsys, tmp_path):
     assert code == 0
     coloring, _ = parse_coloring(out)  # summary line is tolerated
     assert len(coloring.color_of) == 8
+
+
+def test_color_two_odd_on_many_components_keeps_the_recursion_limit(capsys, tmp_path):
+    # 2,400 edges: the interval search goes as deep as the edge count
+    k23 = gen_complete_bipartite(2, 3)
+    g = build_graph(2000, [(5 * i + u, 5 * i + v) for i in range(400)
+                           for u, v in k23.edges])
+    limit = sys.getrecursionlimit()
+    code, out, err = run_cli(capsys, "color", write_graph(tmp_path, g))
+    assert sys.getrecursionlimit() == limit
+    assert code == 0 and "Traceback" not in err
+    assert "palettes=4 bound=4 theorem=two-odd-cyclic" in out
 
 
 def test_exact_k23(capsys, tmp_path):

@@ -16,8 +16,8 @@ from palette_index.decompose import (Matching, eulerian_circuit,
                                      split_part_vertices, two_factorization)
 from palette_index.graph import (SIDE_X, SIDE_Y, Bipartition, GraphError,
                                  bipartition, biregular_profile, build_graph,
-                                 gen_complete_bipartite, gen_random_biregular,
-                                 gen_random_even_bipartite)
+                                 components, gen_complete_bipartite,
+                                 gen_random_biregular, gen_random_even_bipartite)
 
 from conftest import bipartite_graphs
 
@@ -40,6 +40,50 @@ def test_eulerian_circuit_k24_single_circuit():
 def test_eulerian_circuit_rejects_odd_degree():
     with pytest.raises(GraphError):
         eulerian_circuit(build_graph(3, [(0, 1), (1, 2)]))
+
+
+@st.composite
+def even_multigraphs(draw):
+    """Unions of closed walks on up to 10 vertices, edges shuffled: a
+    one-vertex walk or a repeated vertex is a loop, a two-vertex walk a pair
+    of parallel edges, and untouched vertices are isolated."""
+    n = draw(st.integers(1, 10))
+    walks = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=5),
+                          max_size=6))
+    edges = [(walk[i - 1], walk[i]) for walk in walks for i in range(len(walk))]
+    return build_graph(n, draw(st.permutations(edges)), loop_allowed=True)
+
+
+def circuits_by_components(g):
+    """Hierholzer run on each component Graph from its local vertex 0, with
+    the trail's edge ids mapped back to g."""
+    circuits = []
+    for comp in components(g):
+        h = comp.graph
+        if h.edge_count == 0:
+            continue
+        used, ptr = [False] * h.edge_count, [0] * h.vertex_count
+        stack, trail = [(0, -1)], []
+        while stack:
+            v, in_edge = stack[-1]
+            inc = h.incidence[v]
+            while ptr[v] < len(inc) and used[inc[ptr[v]]]:
+                ptr[v] += 1
+            if ptr[v] == len(inc):
+                stack.pop()
+                if in_edge >= 0:
+                    trail.append(in_edge)
+            else:
+                used[inc[ptr[v]]] = True
+                stack.append((h.other_end(inc[ptr[v]], v), inc[ptr[v]]))
+        circuits.append([comp.edge_ids[eid] for eid in reversed(trail)])
+    return circuits
+
+
+@settings(deadline=None, max_examples=200)
+@given(even_multigraphs())
+def test_eulerian_circuit_matches_the_per_component_runs(g):
+    assert eulerian_circuit(g) == circuits_by_components(g)
 
 
 def test_eulerian_circuit_agrees_with_networkx_components():

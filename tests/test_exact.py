@@ -135,6 +135,12 @@ def test_palette_index_budget_on_1280_edges_keeps_the_recursion_limit():
     assert palette_summary(g, result.witness).distinct == result.value >= 3
 
 
+def test_chromatic_index_of_a_long_odd_cycle_keeps_the_recursion_limit():
+    limit = sys.getrecursionlimit()
+    assert chromatic_index_exact(cycle(2001)) == 3
+    assert sys.getrecursionlimit() == limit
+
+
 def test_chromatic_index_examples():
     assert chromatic_index_exact(cycle(5)) == 3
     assert chromatic_index_exact(gen_complete_bipartite(3, 3)) == 3

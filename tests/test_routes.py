@@ -107,6 +107,26 @@ def test_no_module_sets_the_recursion_limit():
     assert offenders == []
 
 
+def test_no_nested_function_calls_itself():
+    # a recursive closure is bounded by Python's recursion limit, not by the
+    # search budgets; only the reference enumeration, run on a few edges, is one
+    allowed = {"exact.py: palette_index_naive.recurse"}
+    offenders = set()
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(Path(palette_index.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, functions):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, functions):
+                    continue
+                if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                       and node.func.id == inner.name for node in ast.walk(inner)):
+                    offenders.add(f"{path.name}: {outer.name}.{inner.name}")
+    assert offenders == allowed
+
+
 def test_auto_computes_the_deg5_matching_once(monkeypatch):
     # balanced sides, maximum degree 5, not regular, with a perfect matching
     g = build_graph(12, [(0, 6), (1, 6), (1, 10), (2, 6), (2, 7), (2, 8),
