@@ -71,15 +71,18 @@ def verify_proper(g: Graph, c: EdgeColoring) -> list[Violation]:
 
 
 def palette_summary(g: Graph, c: EdgeColoring) -> PaletteSummary:
-    """Palettes of a proper coloring; raises on an improper one."""
-    bad = verify_proper(g, c)
-    if bad:
+    """Palettes of a proper coloring; raises on a partial, non-positive,
+    looped or improper one, with the message `verify_proper` leads to."""
+    get = c.color_of.get
+    colors = [get(eid, 0) for eid in range(g.edge_count)]  # 0 marks a missing color
+    palettes = tuple(frozenset(map(colors.__getitem__, ids)) for ids in g.incidence)
+    # a loop (listed once) or a repeated color leaves the sizes short of 2|E|
+    if min(colors, default=1) < 1 or sum(map(len, palettes)) != 2 * g.edge_count:
+        bad = verify_proper(g, c)  # raises on a partial or non-positive coloring
         first = bad[0]
         raise ColoringError(
             f"improper coloring: vertex {first.vertex} sees color "
             f"{c.color_of[first.edge_a]} on edges {first.edge_a} and {first.edge_b}")
-    palettes = tuple(frozenset(c.color_of[eid] for eid in g.incidence[v])
-                     for v in range(g.vertex_count))
     multiplicity: dict[frozenset[int], int] = {}
     for p in palettes:
         multiplicity[p] = multiplicity.get(p, 0) + 1

@@ -18,7 +18,7 @@ from .decompose import (Matching, konig_coloring, matching_covering_max_degree,
                         split_part_vertices, two_factorization)
 from .graph import (SIDE_X, SIDE_Y, Bipartition, BiregularProfile, Graph,
                     GraphError, bipartition, biregular_profile, edge_subgraph,
-                    even_closure, gen_complete_bipartite, gen_grid, grid_vertex,
+                    even_closure, gen_complete_bipartite, gen_grid,
                     without_isolated)
 
 
@@ -269,15 +269,12 @@ def color_grid(m: int, n: int) -> ConstructionResult:
 def _color_grid_edges(g: Graph, m: int, n: int) -> ConstructionResult:
     """Apply the grid pattern to any graph carrying the grid labeling."""
     assignment = _grid_assignment(m, n)
-    eid_by_pair = {}
-    for eid, (u, v) in enumerate(g.edges):
-        eid_by_pair[(u, v) if u <= v else (v, u)] = eid
     colors: dict[int, int] = {}
-    for ((i1, j1), (i2, j2)), c in assignment.items():
-        u = grid_vertex(m, n, i1, j1)
-        v = grid_vertex(m, n, i2, j2)
-        colors[eid_by_pair[(u, v) if u <= v else (v, u)]] = c
-    assert len(colors) == g.edge_count
+    for eid, (u, v) in enumerate(g.edges):
+        if u > v:
+            u, v = v, u
+        # vertex x is grid position (x // n + 1, x % n + 1)
+        colors[eid] = assignment[((u // n + 1, u % n + 1), (v // n + 1, v % n + 1))]
     return _finish(g, colors, grid_palette_value(m, n), "grid")
 
 
@@ -285,14 +282,15 @@ def recognize_grid(g: Graph) -> tuple[int, int] | None:
     """Dimensions (m, n) when g carries the grid generator's exact labeling
     (any edge order)."""
     n_verts = g.vertex_count
-    if n_verts < 4:
-        return None
-    edge_multiset = sorted(tuple(sorted(e)) for e in g.edges)
     for m in range(2, n_verts // 2 + 1):
         n, rest = divmod(n_verts, m)
         if rest or 2 * m * n - m - n != g.edge_count:
-            continue  # build only a shape with g's edge count
-        if sorted(tuple(sorted(e)) for e in gen_grid(m, n).edges) == edge_multiset:
+            continue
+        pairs = {(u, v) if u < v else (v, u) for u, v in g.edges}
+        # with as many distinct pairs as the m-by-n grid has edges, each one
+        # a grid edge (x to x + n, or x to x + 1 within a row), g is that grid
+        if len(pairs) == g.edge_count and all(
+                v - u == n or (v - u == 1 and v % n) for u, v in pairs):
             return (m, n)
     return None
 
@@ -691,7 +689,7 @@ def _deg5_perfect_bound(f: RouteFacts) -> int | None:
 ROUTES: tuple[Route, ...] = (
     Route("grid", "grid, exact value",
           lambda f: None if f.dims is None else grid_palette_value(*f.dims),
-          lambda g, f: color_grid_on(g)),
+          lambda g, f: _color_grid_edges(g, *f.dims)),
     Route("star", "disjoint stars",
           _on_profile(lambda a, b: b + 1 if a == 1 < b else None),
           lambda g, f: _star_coloring(g)),

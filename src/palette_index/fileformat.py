@@ -18,7 +18,7 @@ parsing colorings so a stream carrying a trailing summary re-parses cleanly.
 from __future__ import annotations
 
 from .coloring import EdgeColoring
-from .graph import Graph, build_graph
+from .graph import Graph
 
 
 class FormatError(ValueError):
@@ -32,41 +32,40 @@ def serialize_graph(g: Graph) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    header: tuple[int, int] | None = None
+    n = count = -1  # vertex and edge counts, once the header is read
     edges: list[tuple[int, int]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    lines = text.splitlines()
+    for ln, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
-        if header is None:
+        if n < 0:
             if parts[0] != "p" or len(parts) != 3:
                 raise FormatError(f"line {ln}: expected header 'p <vertices> <edges>'")
             try:
-                header = (int(parts[1]), int(parts[2]))
+                n, count = int(parts[1]), int(parts[2])
             except ValueError:
                 raise FormatError(f"line {ln}: non-integer header fields") from None
-            if header[0] < 0 or header[1] < 0:
+            if n < 0 or count < 0:
                 raise FormatError(f"line {ln}: negative counts in header")
             continue
         if parts[0] != "e" or len(parts) != 3:
             raise FormatError(f"line {ln}: expected edge line 'e <u> <v>'")
         try:
-            u, v = int(parts[1]), int(parts[2])
+            u, v = int(parts[1]) - 1, int(parts[2]) - 1
         except ValueError:
             raise FormatError(f"line {ln}: non-integer endpoint") from None
-        if not (1 <= u <= header[0] and 1 <= v <= header[0]):
-            raise FormatError(f"line {ln}: endpoint out of range 1..{header[0]}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise FormatError(f"line {ln}: endpoint out of range 1..{n}")
         if u == v:
-            raise FormatError(f"line {ln}: loop at vertex {u} is not allowed")
-        edges.append((u - 1, v - 1))
-    if header is None:
+            raise FormatError(f"line {ln}: loop at vertex {u + 1} is not allowed")
+        edges.append((u, v))
+    if n < 0:
         raise FormatError("line 1: missing header")
-    if len(edges) != header[1]:
+    if len(edges) != count:
         raise FormatError(
-            f"line {len(text.splitlines())}: header promises {header[1]} edges, "
-            f"found {len(edges)}")
-    return build_graph(header[0], edges)
+            f"line {len(lines)}: header promises {count} edges, found {len(edges)}")
+    return Graph(n, tuple(edges))  # checked edge by edge above, as build_graph would
 
 
 def serialize_coloring(c: EdgeColoring, distinct_palettes: int) -> str:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,21 @@ def test_exact_isolated_vertices_noted(capsys, tmp_path):
     assert code == 0
     assert "palette_index=2 proved=true" in out
     assert "empty palette" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "color"])
+def test_huge_vertex_count_is_rejected_without_per_vertex_lists(capsys, tmp_path, command):
+    path = tmp_path / "huge.txt"
+    path.write_text("p 3000000 0\n")
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, command, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err == "error: isolated vertices are not allowed here\n"
+    assert peak < 2 ** 22  # one list of 3,000,000 entries is 24 MB
 
 
 def test_suite_filter_runs_only_matching(capsys):

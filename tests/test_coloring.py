@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palette_index.coloring import (ColoringError, EdgeColoring,
-                                    palette_summary, verify_proper)
+                                    PaletteSummary, palette_summary,
+                                    verify_proper)
 from palette_index.decompose import konig_coloring
 from palette_index.graph import bipartition, build_graph, gen_complete_bipartite
 
@@ -60,3 +63,80 @@ def test_palette_summary_star_all_distinct():
 def test_palette_summary_rejects_improper():
     with pytest.raises(ColoringError):
         palette_summary(c4(), EdgeColoring({0: 1, 1: 1, 2: 2, 3: 2}))
+
+
+def reference_summary(g, c):
+    """Palette summary in two walks: `verify_proper`, then a frozenset per
+    vertex."""
+    bad = verify_proper(g, c)
+    if bad:
+        first = bad[0]
+        raise ColoringError(
+            f"improper coloring: vertex {first.vertex} sees color "
+            f"{c.color_of[first.edge_a]} on edges {first.edge_a} and {first.edge_b}")
+    palettes = tuple(frozenset(c.color_of[eid] for eid in g.incidence[v])
+                     for v in range(g.vertex_count))
+    multiplicity = {}
+    for p in palettes:
+        multiplicity[p] = multiplicity.get(p, 0) + 1
+    return PaletteSummary(palettes, len(multiplicity), multiplicity)
+
+
+@st.composite
+def colored_multigraphs(draw):
+    """Multigraphs, with loops when built to allow them, and colorings that
+    are proper, improper, partial, non-positive or carry extra keys."""
+    n = draw(st.integers(1, 6))
+    loops = draw(st.booleans())
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pair if loops else pair.filter(lambda e: e[0] != e[1]),
+                          max_size=10))
+    g = build_graph(n, edges, loop_allowed=loops)
+    if draw(st.booleans()):
+        # greedy: the smallest color free at both ends, proper unless a loop
+        seen = [set() for _ in range(n)]
+        colors = {}
+        for eid, (u, v) in enumerate(edges):
+            colors[eid] = min(set(range(1, 2 * len(edges) + 2)) - seen[u] - seen[v])
+            seen[u].add(colors[eid])
+            seen[v].add(colors[eid])
+    else:
+        drawn = draw(st.lists(st.one_of(st.none(), st.integers(-1, 4)),
+                              min_size=len(edges), max_size=len(edges)))
+        colors = {eid: col for eid, col in enumerate(drawn) if col is not None}
+    outside = st.one_of(st.integers(-3, -1), st.integers(len(edges), len(edges) + 3))
+    colors.update(draw(st.dictionaries(outside, st.integers(-1, 4), max_size=2)))
+    return g, EdgeColoring(colors)
+
+
+def summary_or_error(summarize, g, c):
+    try:
+        return summarize(g, c)
+    except ColoringError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=400)
+@given(colored_multigraphs())
+def test_palette_summary_matches_the_two_walk_reference(case):
+    g, c = case
+    assert summary_or_error(palette_summary, g, c) == summary_or_error(reference_summary, g, c)
+
+
+@pytest.mark.parametrize("colors, message", [
+    ({0: 1, 2: 2, 3: 2}, "partial coloring: edge 1 has no color"),
+    ({0: 1, 1: 0, 2: 2, 3: 2}, "edge 1 has non-positive color 0"),
+    ({0: 1, 1: 2, 2: 1, 3: -2}, "edge 3 has non-positive color -2"),
+    ({0: 1, 1: 1, 2: 2, 3: 2}, "improper coloring: vertex 1 sees color 1 on edges 0 and 1"),
+])
+def test_palette_summary_error_messages(colors, message):
+    with pytest.raises(ColoringError) as err:
+        palette_summary(c4(), EdgeColoring(colors))
+    assert str(err.value) == message
+
+
+def test_palette_summary_rejects_a_loop():
+    g = build_graph(2, [(0, 1), (1, 1)], loop_allowed=True)
+    with pytest.raises(ColoringError) as err:
+        palette_summary(g, EdgeColoring({0: 1, 1: 2}))
+    assert str(err.value) == "improper coloring: vertex 1 sees color 2 on edges 1 and 1"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,53 @@ def test_recognize_grid_roundtrip():
     assert recognize_grid(gen_complete_bipartite(2, 4)) is None
     result = color_grid_on(gen_grid(5, 3))
     assert result.palettes == 5
+
+
+def reference_recognize_grid(g):
+    """The sorted-multiset definition: g's edges, each as a sorted pair,
+    sorted, equal those of `gen_grid(m, n)`."""
+    edge_multiset = sorted(tuple(sorted(e)) for e in g.edges)
+    for m in range(2, g.vertex_count // 2 + 1):
+        n, rest = divmod(g.vertex_count, m)
+        if not rest and sorted(tuple(sorted(e)) for e in gen_grid(m, n).edges) == edge_multiset:
+            return (m, n)
+    return None
+
+
+def grid_variants(m, n, rng):
+    """The m-by-n grid, shuffled with endpoints flipped, then mutants of it."""
+    grid = gen_grid(m, n)
+    count = grid.vertex_count
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in grid.edges]
+    rng.shuffle(edges)
+    yield "shuffled", build_graph(count, edges)
+    present = {tuple(sorted(e)) for e in edges}
+    off_grid = rng.choice([(u, v) for u in range(count) for v in range(u + 1, count)
+                           if (u, v) not in present])
+    i = rng.randrange(len(edges))
+    yield "off-grid", build_graph(count, edges[:i] + [off_grid] + edges[i + 1:])
+    j = (i + 1 + rng.randrange(len(edges) - 1)) % len(edges)
+    yield "duplicate", build_graph(count, edges[:i] + [edges[j]] + edges[i + 1:])
+    # position (i, j) labeled column-major: the n-by-m grid's labeling
+    yield "transposed", build_graph(count, [(u % n * m + u // n, v % n * m + v // n)
+                                            for u, v in edges])
+    yield "shifted", build_graph(count, [((u + 1) % count, (v + 1) % count)
+                                         for u, v in edges])
+    pool = [(u, v) for u in range(count) for v in range(u + 1, count)]
+    yield "random", build_graph(count, rng.sample(pool, len(edges)))
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+@pytest.mark.parametrize("n", range(2, 10))
+def test_recognize_grid_matches_the_multiset_definition(m, n):
+    rng = random.Random(f"{m}x{n}")
+    for kind, g in grid_variants(m, n, rng):
+        got = recognize_grid(g)
+        assert got == reference_recognize_grid(g), kind
+        if kind == "shuffled":
+            assert got == (m, n)
+        elif kind == "transposed":
+            assert got == (n, m)
 
 
 @pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 8)

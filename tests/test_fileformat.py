@@ -5,7 +5,7 @@ import pytest
 from palette_index.coloring import EdgeColoring
 from palette_index.fileformat import (FormatError, parse_coloring, parse_graph,
                                       serialize_coloring, serialize_graph)
-from palette_index.graph import gen_grid
+from palette_index.graph import build_graph, gen_grid
 
 
 def test_parse_graph_k3():
@@ -70,3 +70,46 @@ def test_parse_coloring_duplicate_edge():
 def test_parse_coloring_rejects_nonpositive_color():
     with pytest.raises(FormatError, match="positive"):
         parse_coloring("s 1 1\nc 1 0\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: missing header"),
+    ("# only a comment\n\n", "line 1: missing header"),
+    ("q 2 1\ne 1 2\n", "line 1: expected header 'p <vertices> <edges>'"),
+    ("p 2\n", "line 1: expected header 'p <vertices> <edges>'"),
+    ("p 2 1 0\ne 1 2\n", "line 1: expected header 'p <vertices> <edges>'"),
+    ("\n# c\np 2 1 # trailing\n", "line 3: expected header 'p <vertices> <edges>'"),
+    ("p two 1\n", "line 1: non-integer header fields"),
+    ("p 2 1.0\n", "line 1: non-integer header fields"),
+    ("p -1 0\n", "line 1: negative counts in header"),
+    ("p 2 -1\n", "line 1: negative counts in header"),
+    ("p 2 1\np 2 1\n", "line 2: expected edge line 'e <u> <v>'"),
+    ("p 2 1\ne 1\n", "line 2: expected edge line 'e <u> <v>'"),
+    ("p 2 1\ne 1 2 3\n", "line 2: expected edge line 'e <u> <v>'"),
+    ("p 2 1\nE 1 2\n", "line 2: expected edge line 'e <u> <v>'"),
+    ("p 2 1\ne 1 x\n", "line 2: non-integer endpoint"),
+    ("p 2 1\ne 1.5 2\n", "line 2: non-integer endpoint"),
+    ("p 2 1\ne 1 3\n", "line 2: endpoint out of range 1..2"),
+    ("p 2 1\ne 0 1\n", "line 2: endpoint out of range 1..2"),
+    ("p 2 1\ne 3 1\n", "line 2: endpoint out of range 1..2"),
+    ("p 2 1\ne -1 2\n", "line 2: endpoint out of range 1..2"),
+    ("p 0 1\ne 1 1\n", "line 2: endpoint out of range 1..0"),
+    ("p 2 1\ne 2 2\n", "line 2: loop at vertex 2 is not allowed"),
+    ("p 3 2\ne 1 2\n", "line 2: header promises 2 edges, found 1"),
+    ("p 3 2\ne 1 2\n# end\n\n", "line 4: header promises 2 edges, found 1"),
+    ("p 3 0\ne 1 2\n", "line 2: header promises 0 edges, found 1"),
+    ("p 3 1\n", "line 1: header promises 1 edges, found 0"),
+    ("# c\n\t\n  # indented comment\np\t3 1\n e\t1 2 \ne 2 3\n",
+     "line 6: header promises 1 edges, found 2"),
+])
+def test_parse_graph_error_messages(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
+def test_parse_graph_whitespace_and_comment_lines():
+    text = "  # c\n\n\t\np\t3  2\n\te 1\t2\n#mid\n e 3 2 \n"
+    g = parse_graph(text)
+    assert (g.vertex_count, g.edges, g.loop_allowed) == (3, ((0, 1), (2, 1)), False)
+    assert parse_graph("p 0 0\n") == build_graph(0, [])

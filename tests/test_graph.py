@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palette_index.graph import (GraphError, bipartition, biregular_profile,
+from palette_index.graph import (Graph, GraphError, bipartition, biregular_profile,
                                  build_graph, components, even_closure,
                                  gen_complete_bipartite, gen_grid,
                                  gen_random_biregular,
@@ -37,6 +37,14 @@ def test_build_graph_rejects_loop_by_default():
 def test_build_graph_rejects_out_of_range():
     with pytest.raises(GraphError):
         build_graph(2, [(0, 2)])
+
+
+def test_isolated_vertices_by_counting_before_degrees():
+    g = Graph(3_000_000, ())
+    assert g.has_isolated_vertices()
+    assert "degrees" not in g.__dict__
+    assert build_graph(3, [(0, 1), (0, 1)]).has_isolated_vertices()
+    assert not build_graph(4, [(0, 1), (2, 3)]).has_isolated_vertices()
 
 
 def test_bipartition_c4_alternates():

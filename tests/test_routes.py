@@ -18,7 +18,8 @@ from palette_index.constructions import (RouteFacts, color_auto,
                                          color_complete_bipartite_on,
                                          route_bounds)
 from palette_index.graph import (GraphError, build_graph,
-                                 gen_complete_bipartite, gen_random_biregular,
+                                 gen_complete_bipartite, gen_grid,
+                                 gen_random_biregular,
                                  gen_random_even_bipartite, without_isolated)
 from palette_index.suite import BIREGULAR_BOUNDS, CONJECTURE_PROFILES
 
@@ -142,4 +143,18 @@ def test_auto_computes_the_deg5_matching_once(monkeypatch):
     monkeypatch.setattr(constructions, "maximum_matching", counted)
     result = color_auto(g)
     assert result.theorem_tag == "deg5-perfect-matching"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entry", [color_auto, upper_bound_catalog])
+def test_a_grid_is_recognized_once(monkeypatch, entry):
+    calls = []
+    real = constructions.recognize_grid
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(constructions, "recognize_grid", counted)
+    entry(gen_grid(5, 6))
     assert len(calls) == 1
