@@ -134,8 +134,7 @@ def classify_full_palette(g: Graph) -> tuple[bool, str]:
     if len(isolated) == 1:
         if g.vertex_count == 1:
             return (False, "none")
-        trimmed, _ = without_isolated(g)
-        return classify_full_palette(trimmed)
+        g, _ = without_isolated(g)
     if _is_triangle(g):
         return (True, "triangle")
     if _star_leaves(g) is not None and _star_leaves(g) >= 2:

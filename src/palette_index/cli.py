@@ -79,8 +79,9 @@ def _cmd_exact(args) -> int:
     extra = 0
     if g.has_isolated_vertices():
         # isolated vertices all share the empty palette; solve the rest
-        isolated = sum(1 for d in g.degrees if d == 0)
-        g, _ = without_isolated(g)
+        trimmed, _ = without_isolated(g)
+        isolated = g.vertex_count - trimmed.vertex_count
+        g = trimmed
         extra = 1
         sys.stderr.write(f"note: {isolated} isolated vertices contribute one "
                          "shared empty palette, included in the result\n")

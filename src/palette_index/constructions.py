@@ -197,67 +197,34 @@ def grid_palette_value(m: int, n: int) -> int:
     return 5
 
 
-Coord = tuple[int, int]
+def _grid_color(m: int, n: int, i: int, j: int, down: bool) -> int:
+    """Color of the m-by-n grid's edge from 1-based position (i, j) to its
+    right neighbour, or to the one below when `down` is true.
 
-
-def _gkey(p: Coord, q: Coord) -> tuple[Coord, Coord]:
-    return (p, q) if p <= q else (q, p)
-
-
-def _alpha_rules(m: int, n: int) -> dict[tuple[Coord, Coord], int]:
-    """4-color pattern for grids with an even number of rows."""
-    assert m % 2 == 0
-    colors: dict[tuple[Coord, Coord], int] = {}
-    for i in range(1, m + 1):
-        for j in range(1, n):
-            colors[_gkey((i, j), (i, j + 1))] = 2 if j % 2 == 1 else 1
-    for i in range(1, m // 2 + 1):
-        for j in range(1, n):
-            colors[_gkey((2 * i - 1, j), (2 * i, j))] = 1 if j == 1 else 3
-    for i in range(1, m // 2):
-        for j in range(1, n + 1):
-            colors[_gkey((2 * i, j), (2 * i + 1, j))] = 3 if j in (1, n) else 4
-    for i in range(1, m // 2 + 1):
-        colors[_gkey((2 * i - 1, n), (2 * i, n))] = 2 if n % 2 == 1 else 1
-    return colors
-
-
-def _beta_rules(n: int) -> dict[tuple[Coord, Coord], int]:
-    """4-color pattern for 3-row grids with an odd number of columns."""
-    assert n % 2 == 1 and n >= 3
-    colors: dict[tuple[Coord, Coord], int] = {}
-    row_colors = {1: (2, 1), 2: (2, 4), 3: (4, 2)}  # (odd j, even j)
-    for i in (1, 2, 3):
-        odd_c, even_c = row_colors[i]
-        for j in range(1, n):
-            colors[_gkey((i, j), (i, j + 1))] = odd_c if j % 2 == 1 else even_c
-    for j in range(2, n):
-        colors[_gkey((1, j), (2, j))] = 3
-        colors[_gkey((2, j), (3, j))] = 1
-    colors[_gkey((1, 1), (2, 1))] = 1
-    colors[_gkey((2, n), (3, n))] = 1
-    colors[_gkey((1, n), (2, n))] = 2
-    colors[_gkey((2, 1), (3, 1))] = 3
-    return colors
-
-
-def _grid_assignment(m: int, n: int) -> dict[tuple[Coord, Coord], int]:
-    if (m * n) % 2 == 0:
-        if m % 2 == 0:
-            return _alpha_rules(m, n)
-        flipped = _alpha_rules(n, m)
-        return {_gkey((j1, i1), (j2, i2)): c
-                for ((i1, j1), (i2, j2)), c in flipped.items()}
-    if m == 3:
-        return _beta_rules(n)
-    # rows 1..m-3 carry the even-row pattern, the last three rows the 3-row
-    # pattern, and the seam between them is colored 4 throughout
-    colors = dict(_alpha_rules(m - 3, n))
-    for ((i1, j1), (i2, j2)), c in _beta_rules(n).items():
-        colors[_gkey((i1 + m - 3, j1), (i2 + m - 3, j2))] = c
-    for j in range(1, n + 1):
-        colors[_gkey((m - 3, j), (m - 2, j))] = 4
-    return colors
+    An even number of rows takes the even-row pattern, and m odd with n even
+    takes it on the transposed grid.  With m and n both odd, rows 1..m-3
+    take the even-row pattern, the last three rows a 3-row pattern, and the
+    seam between them is colored 4 throughout.
+    """
+    if m % 2 and n % 2 == 0:
+        m, n, i, j, down = n, m, j, i, not down
+    if m % 2:
+        row = i - (m - 3)  # 1..3 in the last three rows, 0 on the seam's top
+        if row == 0 and down:
+            return 4
+        if row > 0 and not down:
+            return (2, 2, 4)[row - 1] if j % 2 else (1, 4, 2)[row - 1]
+        if row == 1:
+            return 1 if j == 1 else 2 if j == n else 3
+        if row == 2:
+            return 3 if j == 1 else 1
+    if not down:
+        return 2 if j % 2 else 1
+    if i % 2 == 0:
+        return 3 if j in (1, n) else 4
+    if j == n:
+        return 2 if n % 2 else 1
+    return 1 if j == 1 else 3
 
 
 def color_grid(m: int, n: int) -> ConstructionResult:
@@ -268,13 +235,12 @@ def color_grid(m: int, n: int) -> ConstructionResult:
 
 def _color_grid_edges(g: Graph, m: int, n: int) -> ConstructionResult:
     """Apply the grid pattern to any graph carrying the grid labeling."""
-    assignment = _grid_assignment(m, n)
     colors: dict[int, int] = {}
     for eid, (u, v) in enumerate(g.edges):
         if u > v:
             u, v = v, u
         # vertex x is grid position (x // n + 1, x % n + 1)
-        colors[eid] = assignment[((u // n + 1, u % n + 1), (v // n + 1, v % n + 1))]
+        colors[eid] = _grid_color(m, n, u // n + 1, u % n + 1, v - u == n)
     return _finish(g, colors, grid_palette_value(m, n), "grid")
 
 
@@ -307,30 +273,16 @@ def color_grid_on(g: Graph) -> ConstructionResult:
 # complete bipartite graphs
 # ----------------------------------------------------------------------
 
-def _complete_bipartite_colors(a: int, b: int) -> dict[tuple[int, int], int]:
-    """Color of the edge (u_i, v_j) of K_{a,b}, keyed by (i, j), 1-based.
+def _complete_bipartite_color(a: int, b: int, i: int, j: int) -> int:
+    """Color of K_{a,b}'s edge from the i-th vertex of the a-vertex side to
+    the j-th of the b-vertex side, both 1-based.
 
-    A base d-coloring of K_{d,d} (d = gcd) is translated across residue
-    blocks; every u-vertex sees all b colors, v-vertices share palettes in
-    blocks of d, giving 1 + b/d palettes in total.
+    A base d-coloring of K_{d,d} (d = gcd) is translated across blocks of d;
+    every vertex on the a-vertex side sees all b colors, and the b-vertex
+    side shares palettes in blocks of d, giving 1 + b/d palettes in total.
     """
     d = math.gcd(a, b)
-
-    def alpha(i: int, j: int) -> int:
-        val = 1 + ((i + j - 2) % d)
-        if i + j == d + 1:
-            assert val == d  # the wrap-around case lands on color d
-        return val
-
-    def f(i: int) -> int:
-        return 1 + (i - 1) % d
-
-    colors = {}
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            h = ((i - 1) // d + (j - 1) // d) % (b // d)
-            colors[(i, j)] = alpha(f(i), f(j)) + d * h
-    return colors
+    return 1 + (i + j - 2) % d + d * (((i - 1) // d + (j - 1) // d) % (b // d))
 
 
 def color_complete_bipartite(a: int, b: int) -> ConstructionResult:
@@ -339,9 +291,7 @@ def color_complete_bipartite(a: int, b: int) -> ConstructionResult:
     if a < 1 or a >= b:
         raise GraphError(f"need 1 <= a < b, got ({a}, {b})")
     g = gen_complete_bipartite(a, b)
-    table = _complete_bipartite_colors(a, b)
-    colors = {(i - 1) * b + (j - 1): c for (i, j), c in table.items()}
-    result = _finish(g, colors, _kab_bound(a, b), "complete-bipartite")
+    result = _complete_on_graph(g, biregular_profile(g))
     summary = palette_summary(g, result.coloring)
     full = frozenset(range(1, b + 1))
     assert all(summary.palette_of[i] == full for i in range(a))
@@ -597,13 +547,11 @@ def _complete_on_graph(g: Graph, prof: BiregularProfile) -> ConstructionResult:
     vs = sorted(prof.x_vertices)
     u_index = {v: i + 1 for i, v in enumerate(us)}
     v_index = {v: j + 1 for j, v in enumerate(vs)}
-    table = _complete_bipartite_colors(a, b)
     colors = {}
     for eid, (p, q) in enumerate(g.edges):
-        if p in u_index:
-            colors[eid] = table[(u_index[p], v_index[q])]
-        else:
-            colors[eid] = table[(u_index[q], v_index[p])]
+        if p not in u_index:
+            p, q = q, p
+        colors[eid] = _complete_bipartite_color(a, b, u_index[p], v_index[q])
     return _finish(g, colors, _kab_bound(a, b), "complete-bipartite")
 
 

@@ -9,6 +9,7 @@ permutations; palettes are compared as sets of block indices.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring
@@ -320,7 +321,6 @@ def palette_index_naive(g: Graph) -> int:
     def recurse(idx: int) -> None:
         nonlocal best
         if idx == m:
-            pal: dict[int, frozenset[int]] = {}
             sets: dict[int, set[int]] = {}
             for eid in range(m):
                 u, v = g.edges[eid]
@@ -377,7 +377,6 @@ def chromatic_index_exact(g: Graph, limits: SearchLimits | None = None) -> int:
 
 
 def _max_multiplicity(g: Graph) -> int:
-    from collections import Counter
     counts = Counter(tuple(sorted(e)) for e in g.edges)
     return max(counts.values(), default=0)
 

@@ -341,7 +341,7 @@ def edge_subgraph(g: Graph, edge_ids) -> tuple[Graph, tuple[int, ...]]:
 
 def without_isolated(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Drop degree-0 vertices, keeping edge ids intact (new vertex -> old)."""
-    keep = [v for v in range(g.vertex_count) if g.degrees[v] > 0]
+    keep = sorted({v for edge in g.edges for v in edge})  # no list over all vertices
     local = {host: i for i, host in enumerate(keep)}
     edges = tuple((local[u], local[v]) for u, v in g.edges)
     return Graph(len(keep), edges, g.loop_allowed), tuple(keep)

@@ -173,6 +173,21 @@ def test_huge_vertex_count_is_rejected_without_per_vertex_lists(capsys, tmp_path
     assert peak < 2 ** 22  # one list of 3,000,000 entries is 24 MB
 
 
+def test_exact_on_a_huge_vertex_count_builds_no_per_vertex_list(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("p 3000000 0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "exact", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out == "s 0 1\npalette_index=1 proved=true\n"
+    assert "3000000 isolated vertices" in err
+    assert peak < 2 ** 22
+
+
 def test_suite_filter_runs_only_matching(capsys):
     code, out, _ = run_cli(capsys, "suite", "--filter", "kab-exact")
     assert code == 0

@@ -11,7 +11,8 @@ from palette_index.coloring import palette_summary
 from palette_index.constructions import (color_2_odd, color_3_3r, color_3_5,
                                          color_4_4r, color_5_5r,
                                          color_biregular_auto,
-                                         color_complete_bipartite, color_deg5,
+                                         color_complete_bipartite,
+                                         color_complete_bipartite_on, color_deg5,
                                          color_even_bipartite, color_grid,
                                          color_grid_on, color_r_2r,
                                          color_via_doubling,
@@ -185,6 +186,114 @@ def test_recognize_grid_matches_the_multiset_definition(m, n):
             assert got == (m, n)
         elif kind == "transposed":
             assert got == (n, m)
+
+
+def reference_grid_colors(m, n):
+    """The grid patterns as tables keyed by sorted coordinate pairs, 1-based:
+    the even-row pattern, its transpose, and the 3-row pattern under an
+    all-4 seam."""
+    def key(p, q):
+        return (p, q) if p <= q else (q, p)
+
+    def even_rows(m, n):
+        colors = {}
+        for i in range(1, m + 1):
+            for j in range(1, n):
+                colors[key((i, j), (i, j + 1))] = 2 if j % 2 == 1 else 1
+        for i in range(1, m // 2 + 1):
+            for j in range(1, n):
+                colors[key((2 * i - 1, j), (2 * i, j))] = 1 if j == 1 else 3
+        for i in range(1, m // 2):
+            for j in range(1, n + 1):
+                colors[key((2 * i, j), (2 * i + 1, j))] = 3 if j in (1, n) else 4
+        for i in range(1, m // 2 + 1):
+            colors[key((2 * i - 1, n), (2 * i, n))] = 2 if n % 2 == 1 else 1
+        return colors
+
+    def three_rows(n):
+        colors = {}
+        row_colors = {1: (2, 1), 2: (2, 4), 3: (4, 2)}  # (odd j, even j)
+        for i in (1, 2, 3):
+            odd_c, even_c = row_colors[i]
+            for j in range(1, n):
+                colors[key((i, j), (i, j + 1))] = odd_c if j % 2 == 1 else even_c
+        for j in range(2, n):
+            colors[key((1, j), (2, j))] = 3
+            colors[key((2, j), (3, j))] = 1
+        colors[key((1, 1), (2, 1))] = 1
+        colors[key((2, n), (3, n))] = 1
+        colors[key((1, n), (2, n))] = 2
+        colors[key((2, 1), (3, 1))] = 3
+        return colors
+
+    if m % 2 == 0:
+        return even_rows(m, n)
+    if n % 2 == 0:
+        return {key((j1, i1), (j2, i2)): c
+                for ((i1, j1), (i2, j2)), c in even_rows(n, m).items()}
+    if m == 3:
+        return three_rows(n)
+    colors = even_rows(m - 3, n)
+    for ((i1, j1), (i2, j2)), c in three_rows(n).items():
+        colors[key((i1 + m - 3, j1), (i2 + m - 3, j2))] = c
+    for j in range(1, n + 1):
+        colors[key((m - 3, j), (m - 2, j))] = 4
+    return colors
+
+
+@pytest.mark.parametrize("m", range(2, 16))
+def test_grid_colors_match_the_reference_patterns(m):
+    for n in range(2, 16):
+        g = gen_grid(m, n)
+        table = reference_grid_colors(m, n)
+        assert len(table) == g.edge_count
+        got = color_grid(m, n).coloring.color_of
+        for eid, (u, v) in enumerate(g.edges):
+            u, v = min(u, v), max(u, v)
+            assert got[eid] == table[((u // n + 1, u % n + 1), (v // n + 1, v % n + 1))], \
+                (m, n, u, v)
+
+
+def reference_complete_bipartite_colors(a, b):
+    """K_{a,b}'s pattern as a table keyed by (i, j), 1-based, i on the
+    a-vertex side: a base d-coloring of K_{d,d} (d = gcd) translated across
+    blocks of d."""
+    d = math.gcd(a, b)
+    colors = {}
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            base = 1 + ((1 + (i - 1) % d) + (1 + (j - 1) % d) - 2) % d
+            colors[(i, j)] = base + d * (((i - 1) // d + (j - 1) // d) % (b // d))
+    return colors
+
+
+def test_complete_bipartite_colors_match_the_reference_table():
+    for a in range(1, 17):
+        for b in range(a + 1, 17):
+            table = reference_complete_bipartite_colors(a, b)
+            got = color_complete_bipartite(a, b).coloring.color_of
+            assert got == {(i - 1) * b + (j - 1): c for (i, j), c in table.items()}, (a, b)
+
+
+@pytest.mark.parametrize("a,b", [(1, 4), (2, 3), (2, 6), (3, 5), (4, 6), (3, 9),
+                                 (6, 8), (5, 15)])
+def test_complete_bipartite_on_relabeled_graphs_follows_the_closed_form(a, b):
+    rng = random.Random(f"K{a},{b}")
+    labels = list(range(a + b))
+    rng.shuffle(labels)
+    edges = [(labels[u], labels[v]) if rng.random() < 0.5 else (labels[v], labels[u])
+             for u, v in gen_complete_bipartite(a, b).edges]
+    rng.shuffle(edges)
+    g = build_graph(a + b, edges)
+    small = sorted(labels[:a])  # the a vertices of degree b
+    big = sorted(labels[a:])
+    d = math.gcd(a, b)
+    got = color_complete_bipartite_on(g).coloring.color_of
+    for eid, (p, q) in enumerate(g.edges):
+        if p not in small:
+            p, q = q, p
+        i, j = small.index(p) + 1, big.index(q) + 1
+        assert got[eid] == 1 + (i + j - 2) % d + d * (((i - 1) // d + (j - 1) // d) % (b // d))
 
 
 @pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 8)

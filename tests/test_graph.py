@@ -216,6 +216,13 @@ def test_without_isolated_preserves_edge_ids():
     assert trimmed.edges == ((0, 1), (1, 2))
 
 
+def test_without_isolated_builds_no_per_vertex_list():
+    g = Graph(3_000_000, ())
+    trimmed, vmap = without_isolated(g)
+    assert (trimmed.vertex_count, vmap) == (0, ())
+    assert "degrees" not in vars(g)  # the cached degree tuple was never built
+
+
 @given(simple_graphs())
 def test_degree_sum_is_twice_edges(g):
     assert sum(g.degrees) == 2 * g.edge_count

@@ -109,21 +109,29 @@ def test_no_module_sets_the_recursion_limit():
 
 
 def test_no_nested_function_calls_itself():
-    # a recursive closure is bounded by Python's recursion limit, not by the
-    # search budgets; only the reference enumeration, run on a few edges, is one
+    # a recursive function, module-level or nested, is bounded by Python's
+    # recursion limit, not by the search budgets; only the reference
+    # enumeration, run on a few edges, is one
     allowed = {"exact.py: palette_index_naive.recurse"}
     offenders = set()
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def calls_itself(fn):
+        return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == fn.name for node in ast.walk(fn))
+
     for path in sorted(Path(palette_index.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, functions) and calls_itself(top):
+                offenders.add(f"{path.name}: {top.name}")
         for outer in ast.walk(tree):
             if not isinstance(outer, functions):
                 continue
             for inner in ast.walk(outer):
                 if inner is outer or not isinstance(inner, functions):
                     continue
-                if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                       and node.func.id == inner.name for node in ast.walk(inner)):
+                if calls_itself(inner):
                     offenders.add(f"{path.name}: {outer.name}.{inner.name}")
     assert offenders == allowed
 
