@@ -11,9 +11,9 @@ from .analysis import (BoundEntry, BoundReport, PaletteSummary,
                        decide_palette_two, palette_lower_bound,
                        palette_summary, upper_bound_catalog, verify_proper)
 from .coloring import ColoringError, EdgeColoring, Violation
-from .constructions import (ROUTES, ConstructionResult, SearchBudgetError,
-                            color_2_odd, color_3_3r, color_3_5, color_4_4r,
-                            color_5_5r, color_auto, color_biregular_auto,
+from .constructions import (ROUTES, ConstructionResult, color_2_odd,
+                            color_3_3r, color_3_5, color_4_4r, color_5_5r,
+                            color_auto, color_biregular_auto,
                             color_complete_bipartite,
                             color_complete_bipartite_on, color_deg5,
                             color_even_bipartite, color_grid, color_grid_on,

@@ -128,13 +128,11 @@ def classify_full_palette(g: Graph) -> tuple[bool, str]:
     """
     if not g.is_simple():
         raise GraphError("classification requires a simple graph")
-    isolated = [v for v in range(g.vertex_count) if g.degrees[v] == 0]
-    if len(isolated) > 1:
+    trimmed, _ = without_isolated(g)  # no per-vertex list
+    isolated = g.vertex_count - trimmed.vertex_count
+    if isolated > 1 or (isolated == 1 and g.vertex_count == 1):
         return (False, "none")
-    if len(isolated) == 1:
-        if g.vertex_count == 1:
-            return (False, "none")
-        g, _ = without_isolated(g)
+    g = trimmed
     if _is_triangle(g):
         return (True, "triangle")
     if _star_leaves(g) is not None and _star_leaves(g) >= 2:

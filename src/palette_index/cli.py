@@ -13,7 +13,7 @@ import sys
 from .analysis import (classify_full_palette, palette_lower_bound,
                        palette_summary, upper_bound_catalog, verify_proper)
 from .coloring import ColoringError
-from .constructions import (SearchBudgetError, color_auto, color_biregular_auto,
+from .constructions import (color_auto, color_biregular_auto,
                             color_complete_bipartite_on, color_deg5,
                             color_even_bipartite, color_grid_on,
                             color_via_doubling)
@@ -110,7 +110,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
+    # isolated vertices have no edges to clash; edge ids survive the trim
+    g, host = without_isolated(_load_graph(args.graph))
     coloring, _header = parse_coloring(_read_text(args.coloring))
     try:
         violations = verify_proper(g, coloring)
@@ -118,7 +119,7 @@ def _cmd_verify(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     for v in violations:
-        sys.stdout.write(f"violation vertex={v.vertex + 1} "
+        sys.stdout.write(f"violation vertex={host[v.vertex] + 1} "
                          f"edges={v.edge_a + 1},{v.edge_b + 1}\n")
     return 0 if not violations else 1
 
@@ -206,7 +207,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (FormatError, GraphError, ColoringError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (BudgetExhausted, SearchBudgetError) as exc:
+    except BudgetExhausted as exc:
         sys.stderr.write(f"budget exhausted: {exc}\n")
         return 3
 

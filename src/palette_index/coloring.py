@@ -55,6 +55,10 @@ def verify_proper(g: Graph, c: EdgeColoring) -> list[Violation]:
             raise ColoringError(f"partial coloring: edge {eid} has no color")
         if c.color_of[eid] < 1:
             raise ColoringError(f"edge {eid} has non-positive color {c.color_of[eid]}")
+    if len(c.color_of) > g.edge_count:  # every edge is colored, so one id is stray
+        stray = min(eid for eid in c.color_of if not 0 <= eid < g.edge_count)
+        raise ColoringError(
+            f"edge {stray} is colored, but the graph has {g.edge_count} edges")
     violations: list[Violation] = []
     for v in range(g.vertex_count):
         by_color: dict[int, list[int]] = {}
@@ -72,13 +76,15 @@ def verify_proper(g: Graph, c: EdgeColoring) -> list[Violation]:
 
 def palette_summary(g: Graph, c: EdgeColoring) -> PaletteSummary:
     """Palettes of a proper coloring; raises on a partial, non-positive,
-    looped or improper one, with the message `verify_proper` leads to."""
+    looped or improper one, or one naming an edge g lacks, with the message
+    `verify_proper` leads to."""
     get = c.color_of.get
     colors = [get(eid, 0) for eid in range(g.edge_count)]  # 0 marks a missing color
     palettes = tuple(frozenset(map(colors.__getitem__, ids)) for ids in g.incidence)
     # a loop (listed once) or a repeated color leaves the sizes short of 2|E|
-    if min(colors, default=1) < 1 or sum(map(len, palettes)) != 2 * g.edge_count:
-        bad = verify_proper(g, c)  # raises on a partial or non-positive coloring
+    if (min(colors, default=1) < 1 or sum(map(len, palettes)) != 2 * g.edge_count
+            or len(c.color_of) != g.edge_count):
+        bad = verify_proper(g, c)  # raises on a partial, non-positive or stray one
         first = bad[0]
         raise ColoringError(
             f"improper coloring: vertex {first.vertex} sees color "

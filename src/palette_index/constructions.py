@@ -13,17 +13,15 @@ from functools import cached_property
 from typing import Callable
 
 from .coloring import EdgeColoring, palette_summary
-from .decompose import (Matching, konig_coloring, matching_covering_max_degree,
-                        maximum_matching, parity_split, peel_perfect_matchings,
+from .decompose import (Matching, eulerian_circuit, konig_coloring,
+                        matching_covering_max_degree, maximum_matching,
+                        parity_split, peel_perfect_matchings,
                         split_part_vertices, two_factorization)
+from .exact import BudgetExhausted
 from .graph import (SIDE_X, SIDE_Y, Bipartition, BiregularProfile, Graph,
                     GraphError, bipartition, biregular_profile, edge_subgraph,
                     even_closure, gen_complete_bipartite, gen_grid,
                     without_isolated)
-
-
-class SearchBudgetError(RuntimeError):
-    """A bounded search ran out of budget before finding a coloring."""
 
 
 @dataclass
@@ -84,41 +82,17 @@ def color_even_bipartite(g: Graph) -> ConstructionResult:
     factors = two_factorization(star).factors
     colors: dict[int, int] = {}
     for i, factor in enumerate(factors, start=1):
-        real = [eid for eid in factor if eid < m]
-        _color_cycles(g, real, 2 * i - 1, colors)
+        # each trail is one even cycle, from its smallest vertex along its
+        # smaller edge id
+        sub, kept = edge_subgraph(g, [eid for eid in factor if eid < m])
+        for cycle in eulerian_circuit(sub):
+            for pos, ne in enumerate(cycle):
+                colors[kept[ne]] = 2 * i - 1 + pos % 2
     return _finish(g, colors, _even_pairs_bound(g), "even-bipartite-pairs")
 
 
 def _even_pairs_bound(g: Graph) -> int:
     return sum(math.comb(g.max_degree // 2, d // 2) for d in g.degree_set())
-
-
-def _color_cycles(g: Graph, edge_ids: list[int], base: int,
-                  out: dict[int, int]) -> None:
-    """Color a disjoint union of cycles alternately base, base+1, starting
-    at each cycle's smallest vertex toward its smaller incident edge id."""
-    inc: dict[int, list[int]] = {}
-    for eid in sorted(edge_ids):
-        u, v = g.edges[eid]
-        inc.setdefault(u, []).append(eid)
-        inc.setdefault(v, []).append(eid)
-    unused = set(edge_ids)
-    for v0 in sorted(inc):
-        starters = [e for e in inc[v0] if e in unused]
-        if not starters:
-            continue
-        eid = starters[0]
-        cur, color = v0, base
-        while True:
-            out[eid] = color
-            unused.discard(eid)
-            cur = g.other_end(eid, cur)
-            color = 2 * base + 1 - color  # toggle between base and base+1
-            nxt = [e for e in inc[cur] if e in unused]
-            if not nxt:
-                break
-            eid = nxt[0]
-        assert cur == v0, "factor is not a disjoint union of cycles"
 
 
 def doubling_palette_bound(g: Graph) -> int:
@@ -169,9 +143,13 @@ def color_deg5(g: Graph) -> ConstructionResult:
 def _color_deg5(g: Graph, bip: Bipartition, mm: Matching) -> ConstructionResult:
     """`color_deg5` given a maximum matching `mm` of g."""
     if 2 * len(mm) == g.vertex_count:
-        matching, bound, tag = mm, 12, "deg5-perfect-matching"
-    else:
-        matching, bound, tag = (matching_covering_max_degree(g, bip), 23, "deg5")
+        return _five_on_matching(g, mm, 12, "deg5-perfect-matching")
+    return _five_on_matching(g, matching_covering_max_degree(g, bip), 23, "deg5")
+
+
+def _five_on_matching(g: Graph, matching: Matching, bound: int,
+                      tag: str) -> ConstructionResult:
+    """Color 5 on `matching`, the rest of g by doubling."""
     rest = [eid for eid in range(g.edge_count) if eid not in matching.edge_ids]
     colors: dict[int, int] = {}
     _color_part(g, rest, color_via_doubling, colors)
@@ -317,25 +295,14 @@ def _family_member(g: Graph, tag: str) -> tuple[BiregularProfile, Bipartition, i
     return facts.prof, facts.bip, bound
 
 
-def _remap_side(old_bip: Bipartition, back: tuple[int, ...]) -> Bipartition:
-    return Bipartition(tuple(old_bip.side_of[orig] for orig in back))
-
-
-def _split_both_sides(g: Graph, bip: Bipartition,
-                      unit: int) -> tuple[Graph, Bipartition]:
-    """Split every vertex into degree-`unit` copies; edge ids are preserved."""
-    h1, back1 = split_part_vertices(g, bip, "X", unit)
-    bip1 = _remap_side(bip, back1)
-    h2, back2 = split_part_vertices(h1, bip1, "Y", unit)
-    return h2, _remap_side(bip1, back2)
-
-
-def _perfect_matching_pullback(g: Graph, bip: Bipartition,
-                               unit: int) -> frozenset[int]:
-    """Edge set meeting each vertex exactly degree/unit times: color class 1,
-    a perfect matching, of the `unit`-regular split graph."""
-    split, split_bip = _split_both_sides(g, bip, unit)
-    return peel_perfect_matchings(split, split_bip, unit)[0]
+def _split_classes(g: Graph, bip: Bipartition, unit: int) -> list[frozenset[int]]:
+    """Split every vertex into degree-`unit` copies and peel the
+    `unit`-regular result into `unit` perfect matchings.  Edge ids survive
+    the split, so each class meets every vertex of g degree/unit times."""
+    for side in ("X", "Y"):
+        g, back = split_part_vertices(g, bip, side, unit)
+        bip = Bipartition(tuple(bip.side_of[orig] for orig in back))
+    return peel_perfect_matchings(g, bip, unit)
 
 
 def _color_part(g: Graph, edge_ids, build: Callable[[Graph], ConstructionResult],
@@ -366,7 +333,7 @@ def color_3_3r(g: Graph) -> ConstructionResult:
     """
     prof, bip, bound = _family_member(g, "deg3-family")
     r = prof.b // 3
-    factor = _perfect_matching_pullback(g, bip, 3)
+    factor = _split_classes(g, bip, 3)[0]
     rest = [eid for eid in range(g.edge_count) if eid not in factor]
     colors: dict[int, int] = {}
     _color_part(g, rest, color_even_bipartite, colors)
@@ -401,7 +368,7 @@ def color_5_5r(g: Graph) -> ConstructionResult:
     spend r extra colors on the factor."""
     prof, bip, bound = _family_member(g, "deg5-family")
     r = prof.b // 5
-    factor = _perfect_matching_pullback(g, bip, 5)
+    factor = _split_classes(g, bip, 5)[0]
     rest = [eid for eid in range(g.edge_count) if eid not in factor]
     colors: dict[int, int] = {}
     _color_part(g, rest, color_4_4r, colors)
@@ -419,17 +386,14 @@ def color_r_2r(g: Graph) -> ConstructionResult:
     """
     prof, bip, bound = _family_member(g, "half-family")
     r = prof.a
+    k = r // 2
     colors: dict[int, int] = {}
     if r % 2 == 0:
-        k = r // 2
-        split, split_bip = _split_both_sides(g, bip, k)
-        pieces = peel_perfect_matchings(split, split_bip, k)
-        for i, piece in enumerate(pieces):
+        for i, piece in enumerate(_split_classes(g, bip, k)):
             _color_part(g, piece, color_even_bipartite, colors, 4 * i)
     else:
-        k = (r - 1) // 2
-        h, back = split_part_vertices(g, bip, "Y", r)
-        factor = peel_perfect_matchings(h, _remap_side(bip, back), r)[0]
+        # side X has degree r, so only side Y really splits
+        factor = _split_classes(g, bip, r)[0]
         rest = [eid for eid in range(g.edge_count) if eid not in factor]
         # the rest is (2k,4k)-biregular and lands in the even case
         _color_part(g, rest, color_r_2r, colors)
@@ -443,13 +407,8 @@ def color_3_5(g: Graph) -> ConstructionResult:
     """Color a (3,5)-biregular graph within 7 palettes: a matching saturating
     the degree-5 side takes color 5, the rest is colored by doubling."""
     _, bip, bound = _family_member(g, "deg35-family")
-    mm = matching_covering_max_degree(g, bip)
-    rest = [eid for eid in range(g.edge_count) if eid not in mm.edge_ids]
-    colors: dict[int, int] = {}
-    _color_part(g, rest, color_via_doubling, colors)
-    for eid in mm.edge_ids:
-        colors[eid] = 5
-    return _finish(g, colors, bound, "deg35-matching")
+    return _five_on_matching(g, matching_covering_max_degree(g, bip), bound,
+                             "deg35-matching")
 
 
 def color_2_odd(g: Graph) -> ConstructionResult:
@@ -498,7 +457,7 @@ def _interval_coloring_search(g: Graph, prof: BiregularProfile, t: int,
                 continue
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetError(
+                raise BudgetExhausted(
                     f"interval coloring search exceeded {budget} nodes")
             saved[idx] = (lo[u], hi[u], lo[v], hi[v])
             used[u] |= bit
@@ -512,8 +471,8 @@ def _interval_coloring_search(g: Graph, prof: BiregularProfile, t: int,
             color[idx] = 0
             idx -= 1
     if idx < 0:
-        raise SearchBudgetError("no block-interval coloring found "
-                                f"with {t} colors (search exhausted)")
+        raise BudgetExhausted("no block-interval coloring found "
+                              f"with {t} colors (search exhausted)")
     return dict(zip(order, color))
 
 

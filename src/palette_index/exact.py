@@ -12,7 +12,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, palette_summary
 from .decompose import konig_coloring
 from .graph import Graph, GraphError, bipartition
 
@@ -80,10 +80,10 @@ def palette_index_exact(g: Graph,
     # fallback witness; when it meets the degree-count bound nothing is left
     seed_order = sorted(range(m), key=lambda e: (-(degs[g.edges[e][0]] + degs[g.edges[e][1]]), e))
     seed_assign = _greedy_blocks([g.edges[e] for e in seed_order])
-    best_value = _partition_palettes(g, seed_order, seed_assign)
+    seed_witness = _witness(seed_order, seed_assign)
+    best_value = palette_summary(g, seed_witness).distinct
     if best_value <= global_lb:
-        return PaletteIndexResult(best_value, _witness(seed_order, seed_assign),
-                                  not capped, 0)
+        return PaletteIndexResult(best_value, seed_witness, not capped, 0)
 
     order = _saturation_order(g)
     ends = [g.edges[e] for e in order]
@@ -293,15 +293,6 @@ def _greedy_blocks(ends) -> list[int]:
             blocks.append({u, v})
             assign.append(len(blocks) - 1)
     return assign
-
-
-def _partition_palettes(g: Graph, order: list[int], assign: list[int]) -> int:
-    pal: dict[int, set[int]] = {}
-    for pos, eid in enumerate(order):
-        u, v = g.edges[eid]
-        pal.setdefault(u, set()).add(assign[pos])
-        pal.setdefault(v, set()).add(assign[pos])
-    return len({frozenset(s) for s in pal.values()})
 
 
 def palette_index_naive(g: Graph) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import re
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from palette_index import constructions
 from palette_index.cli import cli_main
 from palette_index.fileformat import (FormatError, parse_coloring, parse_graph,
                                       serialize_graph)
@@ -117,6 +119,27 @@ def test_verify_tampered_coloring(capsys, tmp_path):
     assert "violation vertex=" in out
 
 
+def test_verify_rejects_a_color_for_a_missing_edge(capsys, tmp_path):
+    gpath = tmp_path / "path.txt"
+    gpath.write_text("p 3 2\ne 1 2\ne 2 3\n")
+    cpath = tmp_path / "stray.txt"
+    cpath.write_text("s 2 3\nc 1 1\nc 2 2\nc 7 1\n")
+    code, out, err = run_cli(capsys, "verify", str(gpath), str(cpath))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "edge 6" in err
+
+
+def test_color_exits_3_when_the_interval_search_runs_out(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(constructions, "_interval_coloring_search", functools.partial(
+        constructions._interval_coloring_search, budget=1))
+    gpath = write_graph(tmp_path, gen_random_biregular(2, 5, 2, 1))
+    code, out, err = run_cli(capsys, "color", gpath)
+    assert code == 3
+    assert out == ""
+    assert err == "budget exhausted: interval coloring search exceeded 1 nodes\n"
+
+
 def test_bounds_lines(capsys, tmp_path):
     gpath = write_graph(tmp_path, gen_complete_bipartite(2, 3))
     code, out, _ = run_cli(capsys, "bounds", gpath)
@@ -185,6 +208,24 @@ def test_exact_on_a_huge_vertex_count_builds_no_per_vertex_list(capsys, tmp_path
     assert code == 0
     assert out == "s 0 1\npalette_index=1 proved=true\n"
     assert "3000000 isolated vertices" in err
+    assert peak < 2 ** 22
+
+
+@pytest.mark.parametrize("argv,expected", [(["classify"], "none\n"),
+                                           (["verify", "empty.txt"], "")])
+def test_huge_vertex_count_is_answered_without_per_vertex_lists(capsys, tmp_path,
+                                                                argv, expected):
+    path = tmp_path / "huge.txt"
+    path.write_text("p 3000000 0\n")
+    (tmp_path / "empty.txt").write_text("s 0 0\n")
+    files = [str(tmp_path / name) for name in argv[1:]]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, argv[0], str(path), *files)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, expected, "")
     assert peak < 2 ** 22
 
 

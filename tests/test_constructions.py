@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palette_index.coloring import palette_summary
-from palette_index.constructions import (color_2_odd, color_3_3r, color_3_5,
+from palette_index.constructions import (_interval_coloring_search,
+                                         color_2_odd, color_3_3r, color_3_5,
                                          color_4_4r, color_5_5r,
                                          color_biregular_auto,
                                          color_complete_bipartite,
@@ -17,9 +18,11 @@ from palette_index.constructions import (color_2_odd, color_3_3r, color_3_5,
                                          color_grid_on, color_r_2r,
                                          color_via_doubling,
                                          grid_palette_value, recognize_grid)
-from palette_index.graph import (GraphError, build_graph,
-                                 gen_complete_bipartite, gen_grid,
-                                 gen_random_biregular,
+from palette_index.decompose import two_factorization
+from palette_index.exact import BudgetExhausted
+from palette_index.graph import (Graph, GraphError, biregular_profile,
+                                 build_graph, gen_complete_bipartite,
+                                 gen_grid, gen_random_biregular,
                                  gen_random_even_bipartite)
 
 
@@ -73,6 +76,59 @@ def test_even_bipartite_c6_single_palette():
 def test_even_bipartite_rejects_odd_degrees():
     with pytest.raises(GraphError):
         color_even_bipartite(gen_complete_bipartite(2, 3))
+
+
+def reference_even_pairs_colors(g):
+    """`color_even_bipartite`'s coloring with each 2-factor's cycles walked
+    by hand: pad every vertex with loops up to the maximum degree, 2-factor
+    the padded graph, drop the loops, and color each cycle of factor i
+    alternately 2i-1, 2i from its smallest vertex along its smaller edge id."""
+    m, r = g.edge_count, g.max_degree // 2
+    padded = list(g.edges)
+    for v in range(g.vertex_count):
+        padded.extend([(v, v)] * (r - g.degrees[v] // 2))
+    star = Graph(g.vertex_count, tuple(padded), loop_allowed=True)
+    colors = {}
+    for i, factor in enumerate(two_factorization(star).factors, start=1):
+        real = sorted(e for e in factor if e < m)
+        inc = {}
+        for eid in real:
+            for v in g.edges[eid]:
+                inc.setdefault(v, []).append(eid)
+        unused = set(real)
+        for v0 in sorted(inc):
+            starters = [e for e in inc[v0] if e in unused]
+            if not starters:
+                continue
+            eid, cur, color = starters[0], v0, 2 * i - 1
+            while True:
+                colors[eid] = color
+                unused.discard(eid)
+                cur = g.other_end(eid, cur)
+                color = 4 * i - 1 - color
+                nxt = [e for e in inc[cur] if e in unused]
+                if not nxt:
+                    break
+                eid = nxt[0]
+            assert cur == v0
+    return colors
+
+
+@pytest.mark.parametrize("delta", [2, 4, 6, 8])
+def test_even_bipartite_cycles_match_the_hand_walk(delta):
+    for seed in range(25):
+        g = gen_random_even_bipartite(delta, seed)
+        assert color_even_bipartite(g).coloring.color_of == \
+            reference_even_pairs_colors(g), (delta, seed)
+
+
+@pytest.mark.parametrize("a,b", [(2, 4), (2, 6), (4, 8)])
+def test_even_family_cycles_match_the_hand_walk(a, b):
+    for scale in (1, 2, 3):
+        for seed in range(4):
+            g = gen_random_biregular(a, b, scale, seed)
+            assert color_even_bipartite(g).coloring.color_of == \
+                reference_even_pairs_colors(g), (scale, seed)
 
 
 def test_doubling_sharpness_union():
@@ -383,6 +439,12 @@ def test_2_odd_k25():
 def test_2_odd_wider_profiles(b):
     result = color_2_odd(gen_random_biregular(2, b, 2, 3))
     assert result.palettes <= b + 1
+
+
+def test_interval_search_raises_budget_exhausted():
+    g = gen_random_biregular(2, 5, 2, 1)
+    with pytest.raises(BudgetExhausted, match="exceeded 1 nodes"):
+        _interval_coloring_search(g, biregular_profile(g), 6, budget=1)
 
 
 def test_deg5_rejects_isolated():

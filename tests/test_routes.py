@@ -4,6 +4,8 @@ so the catalog's best constructed bound is the route the dispatcher takes."""
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,19 @@ def test_no_module_imports_a_private_name_from_a_sibling():
             offenders.extend(f"{path.name}: {alias.name}" for alias in node.names
                              if alias.name.startswith("_"))
     assert offenders == []
+
+
+def test_every_benchmark_traced_name_resolves():
+    # the benchmark's tracer looks every TRACED name up with getattr, so a
+    # deleted or renamed function would stop every workload
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{mod}.{name}" for mod, names in spans.TRACED.items()
+               for name in names if not callable(getattr(
+                   importlib.import_module(f"palette_index.{mod}"), name, None))]
+    assert missing == []
 
 
 def test_no_module_sets_the_recursion_limit():
