@@ -13,7 +13,7 @@ from .coloring import (ColoringError, EdgeColoring, PaletteSummary, Violation,
 from .constructions import (RouteFacts, grid_palette_value, recognize_grid,
                             route_bounds)
 from .exact import BudgetExhausted, SearchLimits, palette_index_exact
-from .graph import Graph, GraphError, components, without_isolated
+from .graph import Graph, GraphError, without_isolated
 
 __all__ = [
     "BoundEntry", "BoundReport", "ColoringError", "EdgeColoring",
@@ -118,99 +118,39 @@ def upper_bound_catalog(g: Graph) -> BoundReport:
 # graphs whose palette index equals the vertex count
 # ----------------------------------------------------------------------
 
+# (non-leaf vertices besides the hub, hub edges into them, edges not ending in
+# a leaf) -> (family, fewest leaves): the hub and its leaves plus nothing, a
+# triangle through the hub, or a triangle one edge or no edge away from it
+_SHAPES = {(0, 0, 0): ("star", 2), (2, 2, 3): ("triangle-pendants", 0),
+           (3, 1, 4): ("triangle-star-bridge", 3), (3, 0, 3): ("triangle-plus-star", 3)}
+
+
 def classify_full_palette(g: Graph) -> tuple[bool, str]:
     """Decide whether every proper coloring of g needs |V| distinct palettes.
 
-    True exactly for the triangle, stars with >= 2 leaves, a triangle with
-    pendants hung on one corner, a triangle bridged to a star center with
-    >= 3 leaves, and the disjoint union of a triangle and such a star.  One
-    isolated vertex on top of any of these keeps the property.
+    True exactly when g is a hub of maximum degree with its degree-1
+    neighbors (its leaves) plus one of: nothing (a star, >= 2 leaves), a
+    triangle through the hub (the triangle, or a triangle with pendants hung
+    on one corner), or a triangle joined to the hub by one edge or by none
+    (>= 3 leaves each).  One isolated vertex on top of any of these keeps the
+    property.
     """
     if not g.is_simple():
         raise GraphError("classification requires a simple graph")
     trimmed, _ = without_isolated(g)  # no per-vertex list
     isolated = g.vertex_count - trimmed.vertex_count
-    if isolated > 1 or (isolated == 1 and g.vertex_count == 1):
+    if isolated > 1 or not trimmed.edges:
         return (False, "none")
     g = trimmed
-    if _is_triangle(g):
-        return (True, "triangle")
-    if _star_leaves(g) is not None and _star_leaves(g) >= 2:
-        return (True, "star")
-    if _is_triangle_pendants(g):
-        return (True, "triangle-pendants")
-    if _is_triangle_star_bridge(g):
-        return (True, "triangle-star-bridge")
-    if _is_triangle_plus_star(g):
-        return (True, "triangle-plus-star")
-    return (False, "none")
-
-
-def _is_triangle(g: Graph) -> bool:
-    return g.vertex_count == 3 and g.edge_count == 3
-
-
-def _star_leaves(g: Graph) -> int | None:
-    """Leaf count when g is a star (one hub, rest leaves), else None."""
-    n = g.vertex_count
-    if n < 3 or g.edge_count != n - 1:
-        return None
-    degs = sorted(g.degrees)
-    if degs[-1] != n - 1 or any(d != 1 for d in degs[:-1]):
-        return None
-    return n - 1
-
-
-def _is_triangle_pendants(g: Graph) -> bool:
-    n, m = g.vertex_count, g.edge_count
-    j = n - 3
-    if j < 1 or m != n:
-        return False
-    if sorted(g.degrees) != [1] * j + [2, 2] + [j + 2]:
-        return False
-    hub = max(range(n), key=lambda v: g.degrees[v])
-    two = [v for v in range(n) if g.degrees[v] == 2]
-    leaves = [v for v in range(n) if g.degrees[v] == 1]
-    pairs = {tuple(sorted(e)) for e in g.edges}
-    if tuple(sorted(two)) not in pairs:
-        return False
-    if any(tuple(sorted((hub, v))) not in pairs for v in two):
-        return False
-    return all(tuple(sorted((hub, leaf))) in pairs for leaf in leaves)
-
-
-def _is_triangle_star_bridge(g: Graph) -> bool:
-    n, m = g.vertex_count, g.edge_count
-    j = n - 4
-    if j < 3 or m != n:
-        return False
-    if sorted(g.degrees) != [1] * j + [2, 2, 3] + [j + 1]:
-        return False
-    center = max(range(n), key=lambda v: g.degrees[v])
-    bridge = next(v for v in range(n) if g.degrees[v] == 3)
-    two = [v for v in range(n) if g.degrees[v] == 2]
-    leaves = [v for v in range(n) if g.degrees[v] == 1]
-    pairs = {tuple(sorted(e)) for e in g.edges}
-    if not all(tuple(sorted((center, leaf))) in pairs for leaf in leaves):
-        return False
-    if tuple(sorted((center, bridge))) not in pairs:
-        return False
-    if tuple(sorted(two)) not in pairs:
-        return False
-    return all(tuple(sorted((bridge, v))) in pairs for v in two)
-
-
-def _is_triangle_plus_star(g: Graph) -> bool:
-    comps = components(g)
-    if len(comps) != 2:
-        return False
-    first, second = comps[0].graph, comps[1].graph
-    for tri, star in ((first, second), (second, first)):
-        if _is_triangle(tri):
-            leaves = _star_leaves(star)
-            if leaves is not None and leaves >= 3:
-                return True
-    return False
+    degrees = g.degrees
+    hub = max(range(g.vertex_count), key=degrees.__getitem__)
+    leaves = sum(degrees[g.other_end(eid, hub)] == 1 for eid in g.incidence[hub])
+    # g is simple with no isolated vertex, so the three counts pin its shape
+    shape = _SHAPES.get((g.vertex_count - 1 - leaves, degrees[hub] - leaves,
+                         g.edge_count - leaves))
+    if shape is None or leaves < shape[1]:
+        return (False, "none")
+    return (True, "triangle" if leaves == 0 else shape[0])
 
 
 # ----------------------------------------------------------------------
@@ -236,29 +176,15 @@ def decide_palette_two(g: Graph, limits: SearchLimits | None = None
         raise BudgetExhausted("palette search ran out of budget before deciding")
     if result.value != 2:
         return (False, None)
-    coloring = EdgeColoring(dict(result.witness.color_of))
-    degree_values = sorted(set(g.degrees), reverse=True)
-    assert len(degree_values) == 2, "two palettes force exactly two degrees"
-    d1, d2 = degree_values
-    big = [v for v in range(g.vertex_count) if g.degrees[v] == d1]
-    small = [v for v in range(g.vertex_count) if g.degrees[v] == d2]
-
-    def colors_at(verts: list[int]) -> set[int]:
-        out: set[int] = set()
-        for v in verts:
-            out.update(coloring.color_of[eid] for eid in g.incidence[v])
-        return out
-
-    c1, c2 = colors_at(big), colors_at(small)
-    while not c2 <= c1:
-        j = min(c2 - c1)
-        k = min(c1 - c2)
-        for eid, col in coloring.color_of.items():
-            if col == j:
-                coloring.color_of[eid] = k
-        c1, c2 = colors_at(big), colors_at(small)
-    assert not verify_proper(g, coloring)
-    assert distinct_palettes(g, coloring) == 2
+    # one palette per degree class; move each color the small palette lacks
+    # in the big one onto a big-only color, pairing both in ascending order
+    c2, c1 = sorted(palette_summary(g, result.witness).multiplicity, key=len)
+    assert len(c2) < len(c1), "two palettes force exactly two degrees"
+    relabel = dict(zip(sorted(c2 - c1), sorted(c1 - c2)))
+    coloring = EdgeColoring({eid: relabel.get(col, col)
+                             for eid, col in result.witness.color_of.items()})
+    c2 = frozenset(relabel.get(col, col) for col in c2)
+    assert palette_summary(g, coloring).distinct == 2  # raises if improper
     h2 = frozenset(eid for eid, col in coloring.color_of.items() if col in c2)
     h1 = frozenset(eid for eid, col in coloring.color_of.items() if col in c1 - c2)
     _check_regular_on_support(g, h1)

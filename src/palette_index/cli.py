@@ -113,11 +113,18 @@ def _cmd_verify(args) -> int:
     # isolated vertices have no edges to clash; edge ids survive the trim
     g, host = without_isolated(_load_graph(args.graph))
     coloring, _header = parse_coloring(_read_text(args.coloring))
-    try:
-        violations = verify_proper(g, coloring)
-    except ColoringError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    # name a missing or stray edge 1-based, as the ColoringFile does; the
+    # parser already refuses non-positive colors, so nothing else is left
+    # for verify_proper to raise on
+    colored = coloring.color_of
+    missing = next((eid for eid in range(g.edge_count) if eid not in colored), None)
+    if missing is not None:
+        raise ColoringError(f"partial coloring: edge {missing + 1} has no color")
+    if len(colored) > g.edge_count:
+        stray = min(eid for eid in colored if eid >= g.edge_count)
+        raise ColoringError(
+            f"edge {stray + 1} is colored, but the graph has {g.edge_count} edges")
+    violations = verify_proper(g, coloring)
     for v in violations:
         sys.stdout.write(f"violation vertex={host[v.vertex] + 1} "
                          f"edges={v.edge_a + 1},{v.edge_b + 1}\n")

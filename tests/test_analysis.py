@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -16,6 +18,10 @@ from conftest import simple_graphs
 
 def cycle(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def star(j):
+    return build_graph(1 + j, [(0, 1 + i) for i in range(j)])
 
 
 def triangle_with_pendants(j):
@@ -154,6 +160,45 @@ def test_classify_matches_solver_on_family_instances():
     for g in (gen_complete_bipartite(1, 3), triangle_with_pendants(2),
               triangle_star_bridge(3), triangle_plus_star(3)):
         assert palette_index_exact(g).value == g.vertex_count
+
+
+def relabeled(g, rng):
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def near_misses(g, rng):
+    """g with one absent edge added, and g with one edge removed."""
+    n = g.vertex_count
+    present = {frozenset(e) for e in g.edges}
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n)
+              if frozenset((u, v)) not in present]
+    drop = rng.randrange(g.edge_count)
+    return (build_graph(n, [*g.edges, rng.choice(absent)]),
+            build_graph(n, [e for eid, e in enumerate(g.edges) if eid != drop]))
+
+
+def needs_every_palette(g):
+    """The solver's answer to whether g needs |V| palettes; isolated vertices
+    all share the empty palette, so they add one palette between them."""
+    trimmed, _ = without_isolated(g)
+    shared_empty = int(trimmed.vertex_count < g.vertex_count)
+    return palette_index_exact(trimmed).value + shared_empty == g.vertex_count
+
+
+@pytest.mark.parametrize("j", range(2, 6))
+@pytest.mark.parametrize("family, tag, fewest", [
+    (star, "star", 2), (triangle_with_pendants, "triangle-pendants", 1),
+    (triangle_star_bridge, "triangle-star-bridge", 3),
+    (triangle_plus_star, "triangle-plus-star", 3)])
+def test_classification_agrees_with_solver_beyond_six_vertices(family, tag, fewest, j):
+    # the bridge and plus families first appear on 7 vertices
+    rng = random.Random(f"{tag}-{j}")
+    g = relabeled(family(j), rng)
+    assert classify_full_palette(g) == ((True, tag) if j >= fewest else (False, "none"))
+    for h in (g, *near_misses(g, rng)):
+        assert classify_full_palette(h)[0] == needs_every_palette(h)
 
 
 def test_decide_palette_two_chorded_cycle():

@@ -127,7 +127,18 @@ def test_verify_rejects_a_color_for_a_missing_edge(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", str(gpath), str(cpath))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "edge 6" in err
+    assert err == "error: edge 7 is colored, but the graph has 2 edges\n"
+
+
+def test_verify_names_an_uncolored_edge_as_the_file_does(capsys, tmp_path):
+    gpath = tmp_path / "path.txt"
+    gpath.write_text("p 3 2\ne 1 2\ne 2 3\n")
+    cpath = tmp_path / "partial.txt"
+    cpath.write_text("s 1 2\nc 1 1\n")
+    code, out, err = run_cli(capsys, "verify", str(gpath), str(cpath))
+    assert code == 2
+    assert out == ""
+    assert err == "error: partial coloring: edge 2 has no color\n"
 
 
 def test_color_exits_3_when_the_interval_search_runs_out(capsys, tmp_path, monkeypatch):
