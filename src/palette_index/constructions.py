@@ -84,10 +84,9 @@ def color_even_bipartite(g: Graph) -> ConstructionResult:
     for i, factor in enumerate(factors, start=1):
         # each trail is one even cycle, from its smallest vertex along its
         # smaller edge id
-        sub, kept = edge_subgraph(g, [eid for eid in factor if eid < m])
-        for cycle in eulerian_circuit(sub):
-            for pos, ne in enumerate(cycle):
-                colors[kept[ne]] = 2 * i - 1 + pos % 2
+        for cycle in eulerian_circuit(g, [eid for eid in factor if eid < m]):
+            for pos, eid in enumerate(cycle):
+                colors[eid] = 2 * i - 1 + pos % 2
     return _finish(g, colors, _even_pairs_bound(g), "even-bipartite-pairs")
 
 

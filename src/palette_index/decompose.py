@@ -38,22 +38,35 @@ class FactorSet:
     factors: tuple[frozenset[int], ...]
 
 
-def eulerian_circuit(g: Graph) -> list[list[int]]:
+def eulerian_circuit(g: Graph, edge_ids=None) -> list[list[int]]:
     """One closed Eulerian trail per component with edges, as edge-id lists.
 
     Requires every degree to be even.  Hierholzer stitching with
     smallest-unused-edge tie-breaking runs on the host graph from each
     vertex, in id order, that still has an unused edge, so each trail starts
-    at the smallest vertex id of its component.
+    at the smallest vertex id of its component.  Given `edge_ids`, the
+    trails cover just those edges of g, the trails of their edge subgraph
+    without building it.
     """
-    for v, d in enumerate(g.degrees):
+    if edge_ids is None:
+        degrees = g.degrees
+        used = [False] * g.edge_count
+    else:
+        deg = [0] * g.vertex_count
+        used = [True] * g.edge_count
+        for eid in edge_ids:
+            u, v = g.edges[eid]
+            deg[u] += 1
+            deg[v] += 1
+            used[eid] = False
+        degrees = deg
+    for v, d in enumerate(degrees):
         if d % 2 != 0:
             raise GraphError(f"vertex {v} has odd degree {d}; no Eulerian circuit")
-    used = [False] * g.edge_count
     ptr = [0] * g.vertex_count
     circuits: list[list[int]] = []
     for start in range(g.vertex_count):
-        if ptr[start] == len(g.incidence[start]):
+        if degrees[start] == 0 or ptr[start] == len(g.incidence[start]):
             continue  # isolated, or its component's trail is done
         stack: list[tuple[int, int]] = [(start, -1)]  # (vertex, edge used to arrive)
         trail: list[int] = []
@@ -72,7 +85,7 @@ def eulerian_circuit(g: Graph) -> list[list[int]]:
                 stack.append((g.other_end(eid, v), eid))
         trail.reverse()
         circuits.append(trail)
-    assert sum(map(len, circuits)) == g.edge_count
+    assert 2 * sum(map(len, circuits)) == sum(degrees)
     return circuits
 
 

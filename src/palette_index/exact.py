@@ -299,41 +299,49 @@ def palette_index_naive(g: Graph) -> int:
     """Reference enumeration of every matching partition, no pruning at all.
 
     Exponential; meant for cross-checking the branch-and-bound solver on
-    graphs with very few edges.
+    graphs with very few edges.  Edge idx tries each open block that misses
+    both its ends, then a new block, as a depth-first walk on an explicit
+    stack: assign[idx] is the block it holds, -1 before its first try.
     """
     _check_solver_input(g)
     m = g.edge_count
     if m == 0:
         return 0
     best = m + 1
-    blocks: list[set[int]] = []
-    assign = [0] * m
-
-    def recurse(idx: int) -> None:
-        nonlocal best
+    blocks: list[int] = []  # vertex bitmask of each open block
+    opened_by: list[int] = []  # the edge that opened each block
+    assign = [-1] * m
+    idx = 0
+    while idx >= 0:
         if idx == m:
-            sets: dict[int, set[int]] = {}
-            for eid in range(m):
-                u, v = g.edges[eid]
-                sets.setdefault(u, set()).add(assign[eid])
-                sets.setdefault(v, set()).add(assign[eid])
-            distinct = len({frozenset(s) for s in sets.values()})
-            best = min(best, distinct)
-            return
+            palettes: dict[int, int] = {}
+            for (u, v), b in zip(g.edges, assign):
+                palettes[u] = palettes.get(u, 0) | 1 << b
+                palettes[v] = palettes.get(v, 0) | 1 << b
+            best = min(best, len(set(palettes.values())))
+            idx -= 1
+            continue
         u, v = g.edges[idx]
-        for b in range(len(blocks) + 1):
-            if b == len(blocks):
-                blocks.append({u, v})
-                assign[idx] = b
-                recurse(idx + 1)
+        ends = 1 << u | 1 << v
+        b = assign[idx]
+        if b >= 0:
+            if opened_by[b] == idx:  # a new block is the last try
                 blocks.pop()
-            elif u not in blocks[b] and v not in blocks[b]:
-                blocks[b].update((u, v))
-                assign[idx] = b
-                recurse(idx + 1)
-                blocks[b].difference_update((u, v))
-
-    recurse(0)
+                opened_by.pop()
+                assign[idx] = -1
+                idx -= 1
+                continue
+            blocks[b] ^= ends
+        b += 1
+        while b < len(blocks) and blocks[b] & ends:
+            b += 1
+        if b == len(blocks):
+            blocks.append(ends)
+            opened_by.append(idx)
+        else:
+            blocks[b] |= ends
+        assign[idx] = b
+        idx += 1
     return best
 
 

@@ -351,6 +351,9 @@ def gen_random_even_bipartite(max_degree: int, seed: int) -> Graph:
     """A seeded bipartite graph whose degrees are even and at most max_degree,
     with the maximum degree attained.  Used for exercising the even-degree
     coloring bound on non-biregular inputs.
+
+    A drawn degree sequence that no simple bipartite graph has is rejected
+    by the Gale–Ryser test before any pairing, and the next one is drawn.
     """
     if max_degree < 2 or max_degree % 2 != 0:
         raise GraphError(f"max degree must be even and >= 2, got {max_degree}")
@@ -365,7 +368,7 @@ def gen_random_even_bipartite(max_degree: int, seed: int) -> Graph:
         # enough Y-vertices that every degree fits on the other side
         y_count = max(-(-total // max_degree), max(x_degs))
         y_degs = _split_into_even_parts(total, y_count, max_degree)
-        if y_degs is None or max(y_degs) > len(x_degs):
+        if y_degs is None:
             continue
         g = _random_bipartite_with_degrees(x_degs, y_degs, rng, restarts=40)
         if g is not None:
@@ -390,8 +393,13 @@ def _random_bipartite_with_degrees(x_degs: list[int], y_degs: list[int],
                                    rng: random.Random, restarts: int) -> Graph | None:
     """Configuration pairing with repair for an arbitrary bipartite degree
     sequence; None when no simple realization was found within `restarts`
-    fresh pairings."""
-    assert sum(x_degs) == sum(y_degs)
+    fresh pairings.
+
+    A sequence that fails the Gale–Ryser test has no simple realization, so
+    it returns None before any pairing, drawing nothing from `rng`.
+    """
+    if not _bipartite_graphical(x_degs, y_degs):
+        return None
     nx = len(x_degs)
     x_stubs = [x for x, d in enumerate(x_degs) for _ in range(d)]
     for _ in range(restarts):
@@ -401,3 +409,29 @@ def _random_bipartite_with_degrees(x_degs: list[int], y_degs: list[int],
         if _repair_multiedges(pairs, rng, attempts=50 * len(pairs)):
             return Graph(nx + len(y_degs), tuple(sorted(pairs)))
     return None
+
+
+def _bipartite_graphical(x_degs: list[int], y_degs: list[int]) -> bool:
+    """Gale–Ryser: whether some simple bipartite graph has these side degrees.
+
+    With the X degrees sorted descending, the k largest must fit into what Y
+    can take from k vertices, the sum over Y of min(d, k), for every k.  That
+    capacity is a running sum of the conjugate of the Y degrees (how many
+    reach t, for t = 1..k), so the test costs a sort of X plus one pass over
+    Y and its degree range, never |X|*|Y|.
+    """
+    if sum(x_degs) != sum(y_degs):
+        return False
+    reaching = [0] * (max(y_degs, default=0) + 1)  # reaching[t]: Y degrees >= t
+    for d in y_degs:
+        reaching[d] += 1
+    for t in range(len(reaching) - 2, -1, -1):
+        reaching[t] += reaching[t + 1]
+    # at k = max(y_degs) the capacity is the whole sum, so no later k fails
+    need = capacity = 0
+    for k, d in zip(range(1, len(reaching)), sorted(x_degs, reverse=True)):
+        need += d
+        capacity += reaching[k]
+        if need > capacity:
+            return False
+    return True

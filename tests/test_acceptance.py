@@ -7,6 +7,7 @@ marker (the 5-vertex variant always runs).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
@@ -198,5 +199,9 @@ def test_criterion_9_suite_determinism():
     threaded = run_suite(threads=4).render()
     assert first == threaded
     assert "status=fail" not in first
+    # the report's bytes are pinned: a change that moves a line re-pins this
+    # digest and names each changed line, and why, in CHANGES.md
+    assert hashlib.sha256(first.encode()).hexdigest() == (
+        "ece9ff2ad293b62665fd2bcf63e570dcae757b791e045e4b3c4ef6c90b8635bc")
     elapsed = time.monotonic() - start
     _report(9, "suite byte-determinism across runs and workers", elapsed)

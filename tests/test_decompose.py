@@ -16,7 +16,8 @@ from palette_index.decompose import (Matching, eulerian_circuit,
                                      split_part_vertices, two_factorization)
 from palette_index.graph import (SIDE_X, SIDE_Y, Bipartition, GraphError,
                                  bipartition, biregular_profile, build_graph,
-                                 components, gen_complete_bipartite,
+                                 components, edge_subgraph,
+                                 gen_complete_bipartite,
                                  gen_random_biregular, gen_random_even_bipartite)
 
 from conftest import bipartite_graphs
@@ -40,6 +41,8 @@ def test_eulerian_circuit_k24_single_circuit():
 def test_eulerian_circuit_rejects_odd_degree():
     with pytest.raises(GraphError):
         eulerian_circuit(build_graph(3, [(0, 1), (1, 2)]))
+    with pytest.raises(GraphError):
+        eulerian_circuit(cycle(4), [0, 1])  # the given edges form a path
 
 
 @st.composite
@@ -84,6 +87,22 @@ def circuits_by_components(g):
 @given(even_multigraphs())
 def test_eulerian_circuit_matches_the_per_component_runs(g):
     assert eulerian_circuit(g) == circuits_by_components(g)
+
+
+@settings(deadline=None, max_examples=200)
+@given(even_multigraphs(), st.data())
+def test_eulerian_circuit_on_edge_ids_matches_the_edge_subgraph(g, data):
+    # g's edges shuffled among extra ones, which may leave host degrees odd
+    n = g.vertex_count
+    extra = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=6))
+    tagged = data.draw(st.permutations([(e, True) for e in g.edges]
+                                       + [(e, False) for e in extra]))
+    host = build_graph(n, [e for e, _ in tagged], loop_allowed=True)
+    ids = [eid for eid, (_, keep) in enumerate(tagged) if keep]
+    sub, kept = edge_subgraph(host, ids)
+    assert eulerian_circuit(host, ids) == [[kept[eid] for eid in trail]
+                                           for trail in eulerian_circuit(sub)]
 
 
 def test_eulerian_circuit_agrees_with_networkx_components():

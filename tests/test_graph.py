@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palette_index.graph import (Graph, GraphError, bipartition, biregular_profile,
+from palette_index.graph import (Graph, GraphError, _bipartite_graphical,
+                                 _random_bipartite_with_degrees,
+                                 bipartition, biregular_profile,
                                  build_graph, components, even_closure,
                                  gen_complete_bipartite, gen_grid,
                                  gen_random_biregular,
@@ -315,5 +318,62 @@ def test_seeded_generators_keep_their_output():
     biregular = [gen_random_biregular(a, b, scale, seed)
                  for a, b, scale in ((3, 5, 2), (4, 8, 3), (3, 9, 2), (6, 6, 2), (5, 10, 1))
                  for seed in range(3)]
-    assert digest(even) == "3a821854315e7ccc37efd7f22bd82c7aa73e602f3c30959fc1016171cb89da13"
+    assert digest(even) == "0e6738bd73803ef24670ee0cd1aa12df44e8c7178c1ce12dafbea03dcd740389"
     assert digest(biregular) == "e2672de83536f4d47b5c6b1d94f5a3530fbf962342e1dcb3e0937e982b074e24"
+
+
+def _realized_degree_pairs(nx: int, ny: int) -> set:
+    """(X degrees, Y degrees) of every simple bipartite graph on nx + ny
+    labelled vertices, by enumerating every edge set."""
+    cells = [(x, y) for x in range(nx) for y in range(ny)]
+    realized = set()
+    for mask in range(1 << len(cells)):
+        x_degs, y_degs = [0] * nx, [0] * ny
+        for bit, (x, y) in enumerate(cells):
+            if mask >> bit & 1:
+                x_degs[x] += 1
+                y_degs[y] += 1
+        realized.add((tuple(x_degs), tuple(y_degs)))
+    return realized
+
+
+def test_gale_ryser_accepts_exactly_the_realized_degree_pairs():
+    for nx, ny in itertools.product(range(4), repeat=2):
+        realized = _realized_degree_pairs(nx, ny)
+        # every pair up to one past the other side's size, unequal sums too
+        for x_degs in itertools.product(range(ny + 2), repeat=nx):
+            for y_degs in itertools.product(range(nx + 2), repeat=ny):
+                expected = (x_degs, y_degs) in realized
+                assert _bipartite_graphical(list(x_degs), list(y_degs)) == expected, \
+                    (x_degs, y_degs)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=5), st.integers(1, 5),
+       st.data())
+def test_gale_ryser_agrees_with_max_flow(x_degs, ny, data):
+    nx = pytest.importorskip("networkx")
+    # give each X stub a Y end, so both sides have the same sum
+    ends = data.draw(st.lists(st.integers(0, ny - 1), min_size=sum(x_degs),
+                              max_size=sum(x_degs)))
+    y_degs = [ends.count(y) for y in range(ny)]
+    flow = nx.DiGraph()
+    for x, d in enumerate(x_degs):
+        flow.add_edge("s", ("x", x), capacity=d)
+        for y in range(ny):
+            flow.add_edge(("x", x), ("y", y), capacity=1)
+    for y, d in enumerate(y_degs):
+        flow.add_edge(("y", y), "t", capacity=d)
+    realizable = nx.maximum_flow_value(flow, "s", "t") == sum(x_degs)
+    assert _bipartite_graphical(x_degs, y_degs) == realizable
+
+
+def test_unrealizable_degrees_return_none_without_drawing():
+    # equal sums and every degree within the other side's size, yet the
+    # three degree-3 X vertices need 9 edges where Y offers them 3 + 3 + 2
+    x_degs, y_degs = [3, 3, 3, 1], [4, 4, 2]
+    assert not _bipartite_graphical(x_degs, y_degs)
+    rng = random.Random(7)
+    state = rng.getstate()
+    assert _random_bipartite_with_degrees(x_degs, y_degs, rng, restarts=40) is None
+    assert rng.getstate() == state
