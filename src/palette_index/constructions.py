@@ -229,11 +229,23 @@ def recognize_grid(g: Graph) -> tuple[int, int] | None:
         n, rest = divmod(n_verts, m)
         if rest or 2 * m * n - m - n != g.edge_count:
             continue
-        pairs = {(u, v) if u < v else (v, u) for u, v in g.edges}
-        # with as many distinct pairs as the m-by-n grid has edges, each one
-        # a grid edge (x to x + n, or x to x + 1 within a row), g is that grid
-        if len(pairs) == g.edge_count and all(
-                v - u == n or (v - u == 1 and v % n) for u, v in pairs):
+        # with as many edges as the m-by-n grid, each one a grid edge (x to
+        # x + n, or x to x + 1 within a row) and none repeated, g is that
+        # grid; edge x to x + n is keyed 2x + 1, x to x + 1 keyed 2x
+        seen = bytearray(2 * n_verts)
+        for u, v in g.edges:
+            if u > v:
+                u, v = v, u
+            if v - u == n:
+                key = 2 * u + 1
+            elif v - u == 1 and v % n:
+                key = 2 * u
+            else:
+                break
+            if seen[key]:
+                break
+            seen[key] = 1
+        else:
             return (m, n)
     return None
 
@@ -284,14 +296,16 @@ def _kab_bound(a: int, b: int) -> int:
 # biregular families
 # ----------------------------------------------------------------------
 
-def _family_member(g: Graph, tag: str) -> tuple[BiregularProfile, Bipartition, int]:
-    """Profile, aligned bipartition and bound of route `tag` on g, or GraphError."""
-    facts = RouteFacts(g)
+def _family_member(f: RouteFacts, tag: str) -> tuple[BiregularProfile, Bipartition, int]:
+    """Profile, aligned bipartition and bound of route `tag` on the graph
+    of `f`, or GraphError.  A public family builder passes its graph's own
+    facts; a route passes the facts it was chosen by, so nothing is
+    computed twice."""
     route = next(r for r in ROUTES if r.tag == tag)
-    bound = route.bound(facts)
+    bound = route.bound(f)
     if bound is None:
         raise GraphError(f"graph is not {route.note}")
-    return facts.prof, facts.bip, bound
+    return f.prof, f.bip, bound
 
 
 def _split_classes(g: Graph, bip: Bipartition, unit: int) -> list[frozenset[int]]:
@@ -330,7 +344,11 @@ def color_3_3r(g: Graph) -> ConstructionResult:
     meeting each big-side vertex r times; the rest is a graph with all
     degrees even, colored in pairs, and F gets the r extra colors.
     """
-    prof, bip, bound = _family_member(g, "deg3-family")
+    return _color_3_3r(g, RouteFacts(g))
+
+
+def _color_3_3r(g: Graph, f: RouteFacts) -> ConstructionResult:
+    prof, bip, bound = _family_member(f, "deg3-family")
     r = prof.b // 3
     factor = _split_classes(g, bip, 3)[0]
     rest = [eid for eid in range(g.edge_count) if eid not in factor]
@@ -351,7 +369,11 @@ def color_4_4r(g: Graph) -> ConstructionResult:
     """Color a (4,4r)- or (4r-4,4r)-biregular graph within r*r + 1 palettes
     by parity-splitting into two half-degree graphs colored in disjoint
     pair ranges."""
-    prof, _, bound = _family_member(g, "deg4-family")
+    return _color_4_4r(g, RouteFacts(g))
+
+
+def _color_4_4r(g: Graph, f: RouteFacts) -> ConstructionResult:
+    prof, _, bound = _family_member(f, "deg4-family")
     r = prof.b // 4
     red, blue = parity_split(g)
     colors: dict[int, int] = {}
@@ -365,7 +387,11 @@ def color_5_5r(g: Graph) -> ConstructionResult:
     """Color a (5,5r)-biregular graph within r**3 + 1 palettes: pull back a
     factor from the 5-regular split, color the remaining (4,4r) graph, and
     spend r extra colors on the factor."""
-    prof, bip, bound = _family_member(g, "deg5-family")
+    return _color_5_5r(g, RouteFacts(g))
+
+
+def _color_5_5r(g: Graph, f: RouteFacts) -> ConstructionResult:
+    prof, bip, bound = _family_member(f, "deg5-family")
     r = prof.b // 5
     factor = _split_classes(g, bip, 5)[0]
     rest = [eid for eid in range(g.edge_count) if eid not in factor]
@@ -383,7 +409,11 @@ def color_r_2r(g: Graph) -> ConstructionResult:
     pulled-back (1,2) factor takes the last two colors and the rest recurses
     into the even case.
     """
-    prof, bip, bound = _family_member(g, "half-family")
+    return _color_r_2r(g, RouteFacts(g))
+
+
+def _color_r_2r(g: Graph, f: RouteFacts) -> ConstructionResult:
+    prof, bip, bound = _family_member(f, "half-family")
     r = prof.a
     k = r // 2
     colors: dict[int, int] = {}
@@ -405,7 +435,11 @@ def color_r_2r(g: Graph) -> ConstructionResult:
 def color_3_5(g: Graph) -> ConstructionResult:
     """Color a (3,5)-biregular graph within 7 palettes: a matching saturating
     the degree-5 side takes color 5, the rest is colored by doubling."""
-    _, bip, bound = _family_member(g, "deg35-family")
+    return _color_3_5(g, RouteFacts(g))
+
+
+def _color_3_5(g: Graph, f: RouteFacts) -> ConstructionResult:
+    _, bip, bound = _family_member(f, "deg35-family")
     return _five_on_matching(g, matching_covering_max_degree(g, bip), bound,
                              "deg35-matching")
 
@@ -417,7 +451,11 @@ def color_2_odd(g: Graph) -> ConstructionResult:
     consecutive block is found by backtracking, then all colors are reduced
     modulo 2r+1 into 1..2r+1.
     """
-    prof, _, t = _family_member(g, "two-odd-family")
+    return _color_2_odd(g, RouteFacts(g))
+
+
+def _color_2_odd(g: Graph, f: RouteFacts) -> ConstructionResult:
+    prof, _, t = _family_member(f, "two-odd-family")
     interval = _interval_coloring_search(g, prof, t)
     colors = {eid: 1 + (c - 1) % prof.b for eid, c in interval.items()}
     return _finish(g, colors, t, "two-odd-cyclic")
@@ -475,9 +513,9 @@ def _interval_coloring_search(g: Graph, prof: BiregularProfile, t: int,
     return dict(zip(order, color))
 
 
-def _star_coloring(g: Graph) -> ConstructionResult:
+def _star_coloring(g: Graph, f: RouteFacts) -> ConstructionResult:
     """Color a disjoint union of stars: each center's edges get 1..b."""
-    prof, _, bound = _family_member(g, "star")
+    prof, _, bound = _family_member(f, "star")
     colors: dict[int, int] = {}
     for center in prof.y_vertices:
         for k, eid in enumerate(g.incidence[center]):
@@ -539,8 +577,18 @@ class RouteFacts:
 
     @cached_property
     def bip(self) -> Bipartition | None:
-        """A bipartition; with a profile, the one whose side X has degree a."""
+        """A bipartition; with a profile, the one whose side X has degree a.
+
+        A graph recognized as the m-by-n grid (`dims`) takes its sides from
+        the grid labeling, position parity (x // n + x % n) % 2, without a
+        search: the grid is connected and vertex 0 is on side X, so these
+        are the sides `bipartition` finds.
+        """
         if self.prof is None:
+            if self.dims is not None:
+                n = self.dims[1]
+                return Bipartition(tuple((x // n + x % n) % 2
+                                         for x in range(self.g.vertex_count)))
             return bipartition(self.g)
         side = [SIDE_Y] * self.g.vertex_count
         for v in self.prof.x_vertices:
@@ -598,33 +646,33 @@ ROUTES: tuple[Route, ...] = (
           lambda g, f: _color_grid_edges(g, *f.dims)),
     Route("star", "disjoint stars",
           _on_profile(lambda a, b: b + 1 if a == 1 < b else None),
-          lambda g, f: _star_coloring(g)),
+          lambda g, f: _star_coloring(g, f)),
     Route("even-family", "(2,2r)- or (2r-2,2r)-biregular",
           _on_profile(lambda a, b: b // 2 + 1
                       if b % 2 == 0 and a in (2, b - 2) and a < b else None),
           lambda g, f: color_even_bipartite(g)),
     Route("two-odd-family", "(2,2r+1)-biregular",
           _on_profile(lambda a, b: b + 1 if a == 2 and b % 2 == 1 else None),
-          lambda g, f: color_2_odd(g)),
+          lambda g, f: _color_2_odd(g, f)),
     Route("deg3-family", "(3,3r)- or (3r-3,3r)-biregular, r >= 2",
           _on_profile(lambda a, b: (b // 3) ** 2 + 1
                       if b % 3 == 0 and b // 3 >= 2 and a in (3, b - 3) else None),
-          lambda g, f: color_3_3r(g)),
+          lambda g, f: _color_3_3r(g, f)),
     Route("deg4-family", "(4,4r)- or (4r-4,4r)-biregular, r >= 2",
           _on_profile(lambda a, b: (b // 4) ** 2 + 1
                       if b % 4 == 0 and b // 4 >= 2 and a in (4, b - 4) else None),
-          lambda g, f: color_4_4r(g)),
+          lambda g, f: _color_4_4r(g, f)),
     Route("deg5-family", "(5,5r)-biregular, r >= 2",
           _on_profile(lambda a, b: (b // 5) ** 3 + 1
                       if a == 5 and b % 5 == 0 and b // 5 >= 2 else None),
-          lambda g, f: color_5_5r(g)),
+          lambda g, f: _color_5_5r(g, f)),
     Route("half-family", "(r,2r)-biregular, r >= 2",
           _on_profile(lambda a, b: 2 ** ((a + 1) // 2) + 1
                       if b == 2 * a and a >= 2 else None),
-          lambda g, f: color_r_2r(g)),
+          lambda g, f: _color_r_2r(g, f)),
     Route("deg35-family", "(3,5)-biregular",
           _on_profile(lambda a, b: 7 if (a, b) == (3, 5) else None),
-          lambda g, f: color_3_5(g)),
+          lambda g, f: _color_3_5(g, f)),
     Route("complete-bipartite", "complete bipartite K_{a,b}, a < b",
           lambda f: (_kab_bound(f.prof.a, f.prof.b)
                      if f.prof is not None and f.prof.a < f.prof.b

@@ -63,26 +63,35 @@ def eulerian_circuit(g: Graph, edge_ids=None) -> list[list[int]]:
     for v, d in enumerate(degrees):
         if d % 2 != 0:
             raise GraphError(f"vertex {v} has odd degree {d}; no Eulerian circuit")
+    incidence, edges = g.incidence, g.edges
     ptr = [0] * g.vertex_count
     circuits: list[list[int]] = []
     for start in range(g.vertex_count):
-        if degrees[start] == 0 or ptr[start] == len(g.incidence[start]):
+        if degrees[start] == 0 or ptr[start] == len(incidence[start]):
             continue  # isolated, or its component's trail is done
-        stack: list[tuple[int, int]] = [(start, -1)]  # (vertex, edge used to arrive)
+        # the walk as two parallel stacks: each vertex, and the edge used to
+        # arrive there (-1 at the start)
+        at, via = [start], [-1]
         trail: list[int] = []
-        while stack:
-            v, in_edge = stack[-1]
-            inc = g.incidence[v]
-            while ptr[v] < len(inc) and used[inc[ptr[v]]]:
-                ptr[v] += 1
-            if ptr[v] == len(inc):
-                stack.pop()
-                if in_edge >= 0:
-                    trail.append(in_edge)
+        while at:
+            v = at[-1]
+            inc = incidence[v]
+            p, end = ptr[v], len(inc)
+            while p < end and used[inc[p]]:
+                p += 1
+            if p == end:
+                ptr[v] = p
+                at.pop()
+                eid = via.pop()
+                if eid >= 0:
+                    trail.append(eid)
             else:
-                eid = inc[ptr[v]]
+                ptr[v] = p + 1
+                eid = inc[p]
                 used[eid] = True
-                stack.append((g.other_end(eid, v), eid))
+                x, y = edges[eid]
+                at.append(x ^ y ^ v)  # the other end
+                via.append(eid)
         trail.reverse()
         circuits.append(trail)
     assert 2 * sum(map(len, circuits)) == sum(degrees)
@@ -223,19 +232,21 @@ def konig_coloring(g: Graph, bip: Bipartition) -> EdgeColoring:
     needed.
     """
     delta = g.max_degree
-    edges = g.edges
+    edges, side_of = g.edges, bip.side_of
     at = [[-1] * (delta + 1) for _ in range(g.vertex_count)]  # at[v][c]: edge
     color = [0] * g.edge_count
     for eid, (u, v) in enumerate(edges):
-        if bip.side_of[u] == SIDE_X:
+        if side_of[u] == SIDE_X:
             u, v = v, u
-        a = at[u].index(-1, 1)
-        if at[v][a] >= 0:
-            b = at[v].index(-1, 1)
+        at_u, at_v = at[u], at[v]
+        a = at_u.index(-1, 1)
+        if at_v[a] >= 0:
+            b = at_v.index(-1, 1)
             path, w, c = [], v, a
             while (e := at[w][c]) >= 0:
                 path.append(e)
-                w = g.other_end(e, w)
+                x, y = edges[e]
+                w = x ^ y ^ w  # the other end
                 c = a + b - c
             for e in path:
                 x, y = edges[e]
@@ -245,7 +256,7 @@ def konig_coloring(g: Graph, bip: Bipartition) -> EdgeColoring:
                 x, y = edges[e]
                 at[x][c] = at[y][c] = e
         color[eid] = a
-        at[u][a] = at[v][a] = eid
+        at_u[a] = at_v[a] = eid
     return EdgeColoring(dict(enumerate(color)))
 
 

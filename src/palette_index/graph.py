@@ -145,21 +145,24 @@ def bipartition(g: Graph) -> Bipartition | None:
     deterministic.  Isolated vertices end up on side X.
     """
     side = [-1] * g.vertex_count
+    incidence, edges = g.incidence, g.edges
     for root in range(g.vertex_count):
         if side[root] != -1:
             continue
         side[root] = SIDE_X
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for eid in g.incidence[v]:
-                w = g.other_end(eid, v)
+        queue = [root]
+        for v in queue:  # visits the vertices appended while it runs
+            side_v = side[v]
+            for eid in incidence[v]:
+                x, y = edges[eid]
+                w = x ^ y ^ v  # the other end
                 if w == v:
                     return None  # a loop is an odd cycle
-                if side[w] == -1:
-                    side[w] = 1 - side[v]
+                side_w = side[w]
+                if side_w == -1:
+                    side[w] = 1 - side_v
                     queue.append(w)
-                elif side[w] == side[v]:
+                elif side_w == side_v:
                     return None
     return Bipartition(tuple(side))
 

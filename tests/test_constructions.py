@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palette_index.coloring import palette_summary
-from palette_index.constructions import (_interval_coloring_search,
+from palette_index.constructions import (RouteFacts,
+                                         _interval_coloring_search,
                                          color_2_odd, color_3_3r, color_3_5,
                                          color_4_4r, color_5_5r,
                                          color_biregular_auto,
@@ -20,8 +21,9 @@ from palette_index.constructions import (_interval_coloring_search,
                                          grid_palette_value, recognize_grid)
 from palette_index.decompose import two_factorization
 from palette_index.exact import BudgetExhausted
-from palette_index.graph import (Graph, GraphError, biregular_profile,
-                                 build_graph, gen_complete_bipartite,
+from palette_index.graph import (Graph, GraphError, bipartition,
+                                 biregular_profile, build_graph,
+                                 gen_complete_bipartite,
                                  gen_grid, gen_random_biregular,
                                  gen_random_even_bipartite)
 
@@ -242,6 +244,14 @@ def test_recognize_grid_matches_the_multiset_definition(m, n):
             assert got == (m, n)
         elif kind == "transposed":
             assert got == (n, m)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+@pytest.mark.parametrize("n", range(2, 10))
+def test_route_sides_of_grid_variants_match_bfs(m, n):
+    rng = random.Random(f"{m}x{n}")
+    for kind, g in grid_variants(m, n, rng):
+        assert RouteFacts(g).bip == bipartition(g), kind
 
 
 def reference_grid_colors(m, n):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palette_index.coloring import palette_summary, verify_proper
+from palette_index.coloring import EdgeColoring, palette_summary, verify_proper
 from palette_index.decompose import (Matching, eulerian_circuit,
                                      konig_coloring,
                                      matching_covering_max_degree,
@@ -103,6 +103,62 @@ def test_eulerian_circuit_on_edge_ids_matches_the_edge_subgraph(g, data):
     sub, kept = edge_subgraph(host, ids)
     assert eulerian_circuit(host, ids) == [[kept[eid] for eid in trail]
                                            for trail in eulerian_circuit(sub)]
+
+
+def reference_eulerian_circuit(g, edge_ids=None):
+    """Hierholzer on the host graph with one stack of (vertex, edge used to
+    arrive) tuples and `Graph.other_end`: `eulerian_circuit` as first
+    written, kept to pin its trails."""
+    if edge_ids is None:
+        degrees = g.degrees
+        used = [False] * g.edge_count
+    else:
+        degrees = [0] * g.vertex_count
+        used = [True] * g.edge_count
+        for eid in edge_ids:
+            u, v = g.edges[eid]
+            degrees[u] += 1
+            degrees[v] += 1
+            used[eid] = False
+    assert all(d % 2 == 0 for d in degrees)
+    ptr = [0] * g.vertex_count
+    circuits = []
+    for start in range(g.vertex_count):
+        if degrees[start] == 0 or ptr[start] == len(g.incidence[start]):
+            continue
+        stack, trail = [(start, -1)], []
+        while stack:
+            v, in_edge = stack[-1]
+            inc = g.incidence[v]
+            while ptr[v] < len(inc) and used[inc[ptr[v]]]:
+                ptr[v] += 1
+            if ptr[v] == len(inc):
+                stack.pop()
+                if in_edge >= 0:
+                    trail.append(in_edge)
+            else:
+                eid = inc[ptr[v]]
+                used[eid] = True
+                stack.append((g.other_end(eid, v), eid))
+        trail.reverse()
+        circuits.append(trail)
+    return circuits
+
+
+@settings(deadline=None, max_examples=300)
+@given(even_multigraphs(), st.data())
+def test_eulerian_circuit_matches_the_reference_walk(g, data):
+    assert eulerian_circuit(g) == reference_eulerian_circuit(g)
+    # an even edge subset: g's edges among extra parallel pairs and loops
+    n = g.vertex_count
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=4))
+    tagged = data.draw(st.permutations([(e, True) for e in g.edges]
+                                       + [(e, False) for e in pairs + pairs]))
+    host = build_graph(n, [e for e, _ in tagged], loop_allowed=True)
+    ids = [eid for eid, (_, keep) in enumerate(tagged) if keep]
+    assert eulerian_circuit(host, ids) == reference_eulerian_circuit(host, ids)
+    assert eulerian_circuit(host) == reference_eulerian_circuit(host)
 
 
 def test_eulerian_circuit_agrees_with_networkx_components():
@@ -295,6 +351,56 @@ def bipartite_multigraphs(draw):
     drawn = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
                           min_size=1, max_size=24))
     return build_graph(a + b, [(v, u) if flip else (u, v) for (u, v), flip in drawn])
+
+
+def reference_konig_coloring(g, bip):
+    """Kőnig's alternating-path coloring through `Graph.other_end`:
+    `konig_coloring` as first written, kept to pin its colors."""
+    delta = g.max_degree
+    at = [[-1] * (delta + 1) for _ in range(g.vertex_count)]
+    color = [0] * g.edge_count
+    for eid, (u, v) in enumerate(g.edges):
+        if bip.side_of[u] == SIDE_X:
+            u, v = v, u
+        a = at[u].index(-1, 1)
+        if at[v][a] >= 0:
+            b = at[v].index(-1, 1)
+            path, w, c = [], v, a
+            while (e := at[w][c]) >= 0:
+                path.append(e)
+                w = g.other_end(e, w)
+                c = a + b - c
+            for e in path:
+                x, y = g.edges[e]
+                at[x][color[e]] = at[y][color[e]] = -1
+            for e in path:
+                color[e] = c = a + b - color[e]
+                x, y = g.edges[e]
+                at[x][c] = at[y][c] = e
+        color[eid] = a
+        at[u][a] = at[v][a] = eid
+    return EdgeColoring(dict(enumerate(color)))
+
+
+@st.composite
+def sided_multigraphs(draw):
+    """Bipartite multigraphs on up to 12 vertices under a drawn side
+    assignment, with parallel edges, isolated vertices and several
+    components, edges stored either way round."""
+    n = draw(st.integers(2, 12))
+    sides = draw(st.lists(st.sampled_from([SIDE_X, SIDE_Y]), min_size=n, max_size=n))
+    across = [(u, v) for u in range(n) for v in range(n) if sides[u] != sides[v]]
+    edges = draw(st.lists(st.sampled_from(across), max_size=30)) if across else []
+    return build_graph(n, edges), Bipartition(tuple(sides))
+
+
+@settings(deadline=None, max_examples=300)
+@given(sided_multigraphs())
+def test_konig_coloring_matches_the_reference_walk(g_bip):
+    g, bip = g_bip
+    assert konig_coloring(g, bip) == reference_konig_coloring(g, bip)
+    bfs = bipartition(g)
+    assert konig_coloring(g, bfs) == reference_konig_coloring(g, bfs)
 
 
 @settings(deadline=None)

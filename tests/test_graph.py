@@ -3,12 +3,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palette_index.graph import (Graph, GraphError, _bipartite_graphical,
+from palette_index.graph import (SIDE_X, Bipartition, Graph, GraphError,
+                                 _bipartite_graphical,
                                  _random_bipartite_with_degrees,
                                  bipartition, biregular_profile,
                                  build_graph, components, even_closure,
@@ -85,6 +87,62 @@ def test_bipartition_agrees_with_networkx():
         assert (bip is not None) == nx.is_bipartite(nxg)
         if bip is not None:
             assert all(bip.side_of[u] != bip.side_of[v] for u, v in edges)
+
+
+def reference_bipartition(g):
+    """BFS two-coloring through `Graph.other_end` with a deque, the smallest
+    vertex of each component on side X; None on an odd cycle or a loop."""
+    side = [-1] * g.vertex_count
+    for root in range(g.vertex_count):
+        if side[root] != -1:
+            continue
+        side[root] = SIDE_X
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for eid in g.incidence[v]:
+                w = g.other_end(eid, v)
+                if w == v:
+                    return None
+                if side[w] == -1:
+                    side[w] = 1 - side[v]
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    return None
+    return Bipartition(tuple(side))
+
+
+@st.composite
+def near_bipartite_multigraphs(draw):
+    """Multigraphs on up to 10 vertices, possibly disconnected: parallel
+    edges across a drawn side assignment, then a few arbitrary edges, which
+    may be loops or close odd cycles."""
+    n = draw(st.integers(1, 10))
+    sides = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    across = [(u, v) for u in range(n) for v in range(n) if sides[u] != sides[v]]
+    edges = draw(st.lists(st.sampled_from(across), max_size=16)) if across else []
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+    return build_graph(n, draw(st.permutations(edges)), loop_allowed=True)
+
+
+@settings(deadline=None, max_examples=300)
+@given(near_bipartite_multigraphs())
+def test_bipartition_matches_the_reference_bfs(g):
+    assert bipartition(g) == reference_bipartition(g)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2), (2, 0)],
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)],
+    [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (6, 2)],
+    [(0, 1), (1, 1)],
+    [(0, 1), (2, 2)],
+])
+def test_bipartition_rejects_odd_cycles_and_loops(edges):
+    g = build_graph(1 + max(map(max, edges)), edges, loop_allowed=True)
+    assert bipartition(g) is None
+    assert reference_bipartition(g) is None
 
 
 def test_biregular_profile_k24():

@@ -167,6 +167,23 @@ def test_auto_computes_the_deg5_matching_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("a,b,tag", [(3, 9, "deg3-multiple"),
+                                     (4, 8, "deg4-multiple"),
+                                     (3, 5, "deg35-matching")])
+def test_a_family_route_reads_the_profile_once(monkeypatch, a, b, tag):
+    g = gen_random_biregular(a, b, 4, 1)
+    calls = []
+    real = constructions.biregular_profile
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(constructions, "biregular_profile", counted)
+    assert color_auto(g).theorem_tag == tag
+    assert calls == [g]
+
+
 @pytest.mark.parametrize("entry", [color_auto, upper_bound_catalog])
 def test_a_grid_is_recognized_once(monkeypatch, entry):
     calls = []
