@@ -6,11 +6,11 @@ distinct palettes, catalogs lower and upper bounds, and solves small
 instances exactly.
 """
 
-from .analysis import (BoundEntry, BoundReport, PaletteSummary,
-                       PaletteTwoCertificate, classify_full_palette,
-                       decide_palette_two, palette_lower_bound,
-                       palette_summary, upper_bound_catalog, verify_proper)
-from .coloring import ColoringError, EdgeColoring, Violation
+from .analysis import (BoundEntry, BoundReport, PaletteTwoCertificate,
+                       classify_full_palette, decide_palette_two,
+                       palette_lower_bound, upper_bound_catalog)
+from .coloring import (ColoringError, EdgeColoring, PaletteSummary, Violation,
+                       palette_summary, verify_proper)
 from .constructions import (ROUTES, ConstructionResult, color_2_odd,
                             color_3_3r, color_3_5, color_4_4r, color_5_5r,
                             color_auto, color_biregular_auto,

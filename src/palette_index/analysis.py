@@ -8,19 +8,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coloring import (ColoringError, EdgeColoring, PaletteSummary, Violation,
-                       distinct_palettes, palette_summary, verify_proper)
-from .constructions import (RouteFacts, grid_palette_value, recognize_grid,
-                            route_bounds)
+from .coloring import EdgeColoring, palette_summary
+from .constructions import RouteFacts, grid_palette_value, route_bounds
 from .exact import BudgetExhausted, SearchLimits, palette_index_exact
 from .graph import Graph, GraphError, without_isolated
 
 __all__ = [
-    "BoundEntry", "BoundReport", "ColoringError", "EdgeColoring",
-    "PaletteSummary", "PaletteTwoCertificate", "Violation",
-    "classify_full_palette", "decide_palette_two", "distinct_palettes",
-    "palette_lower_bound", "palette_summary", "recognize_grid",
-    "upper_bound_catalog", "verify_proper",
+    "BoundEntry", "BoundReport", "PaletteTwoCertificate",
+    "classify_full_palette", "decide_palette_two", "palette_lower_bound",
+    "upper_bound_catalog",
 ]
 
 
@@ -107,7 +103,8 @@ def upper_bound_catalog(g: Graph) -> BoundReport:
     uppers += [BoundEntry(value, "upper", tag, note) for value, tag, note in stated]
     # the best route comes first, so it wins a tie with a stated bound
     best = min(uppers, key=lambda e: e.value)
-    witness = routes[0][0].build(g, facts).coloring if best.constructed else None
+    witness = (routes[0][0].build(g, facts, routes[0][1]).coloring
+               if best.constructed else None)
     assert lower.value <= best.value, "lower bound exceeds upper bound"
     entries.extend(uppers)
     return BoundReport((lower.value, lower.tag), (best.value, best.tag), entries,

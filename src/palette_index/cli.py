@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import (classify_full_palette, palette_lower_bound,
-                       palette_summary, upper_bound_catalog, verify_proper)
-from .coloring import ColoringError
+from .analysis import classify_full_palette, upper_bound_catalog
+from .coloring import ColoringError, palette_summary, verify_proper
 from .constructions import (color_auto, color_biregular_auto,
                             color_complete_bipartite_on, color_deg5,
                             color_even_bipartite, color_grid_on,

@@ -93,7 +93,3 @@ def palette_summary(g: Graph, c: EdgeColoring) -> PaletteSummary:
     for p in palettes:
         multiplicity[p] = multiplicity.get(p, 0) + 1
     return PaletteSummary(palettes, len(multiplicity), multiplicity)
-
-
-def distinct_palettes(g: Graph, c: EdgeColoring) -> int:
-    return palette_summary(g, c).distinct

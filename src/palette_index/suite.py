@@ -40,7 +40,6 @@ class SuiteCase:
     provenance: str  # paper / derived / trivial
     expected: str
     run: Callable[[], CaseOutcome]
-    slow: bool = False
 
 
 @dataclass
@@ -232,7 +231,7 @@ def _conjecture_case(a: int, b: int) -> SuiteCase:
     return SuiteCase(f"conjecture-{a}-{b}", "paper", f"<={cap}", run)
 
 
-def _classify_case(n_max: int, slow: bool) -> SuiteCase:
+def _classify_case(n_max: int) -> SuiteCase:
     def run() -> CaseOutcome:
         checked = 0
         for n in range(2, n_max + 1):
@@ -245,7 +244,7 @@ def _classify_case(n_max: int, slow: bool) -> SuiteCase:
         return CaseOutcome(f"{checked}-agree", True)
 
     return SuiteCase(f"classify-equivalence-n{n_max}", "paper",
-                     "all-agree", run, slow=slow)
+                     "all-agree", run)
 
 
 def _palette_two_constructed_case() -> SuiteCase:
@@ -308,9 +307,9 @@ def build_cases(include_slow: bool = False) -> list[SuiteCase]:
         cases.append(_biregular_case(a, b, bound))
     for a, b in CONJECTURE_PROFILES:
         cases.append(_conjecture_case(a, b))
-    cases.append(_classify_case(5, slow=False))
+    cases.append(_classify_case(5))
     if include_slow:
-        cases.append(_classify_case(6, slow=True))
+        cases.append(_classify_case(6))
     cases.append(_palette_two_constructed_case())
     cases.append(_palette_two_regular_case())
     cases.append(_solver_vs_naive_case())

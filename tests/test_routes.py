@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,12 @@ import palette_index
 from palette_index import constructions
 from palette_index.analysis import upper_bound_catalog
 from palette_index.coloring import palette_summary
-from palette_index.constructions import (RouteFacts, color_auto,
+from palette_index.constructions import (ROUTES, RouteFacts, color_2_odd,
+                                         color_3_3r, color_3_5, color_4_4r,
+                                         color_5_5r, color_auto,
                                          color_complete_bipartite_on,
-                                         route_bounds)
+                                         color_deg5, color_grid_on,
+                                         color_r_2r, route_bounds)
 from palette_index.graph import (GraphError, build_graph,
                                  gen_complete_bipartite, gen_grid,
                                  gen_random_biregular,
@@ -81,6 +85,53 @@ def test_kab_strategy_checks_its_input():
     for not_kab in (gen_complete_bipartite(3, 3), gen_random_biregular(2, 4, 2, 1)):
         with pytest.raises(GraphError):
             color_complete_bipartite_on(not_kab)
+
+
+def relabeled(g):
+    top = g.vertex_count - 1
+    return build_graph(g.vertex_count, [(top - u, top - v) for u, v in g.edges])
+
+
+# every row with a public builder, and a member on which `color_auto` takes it
+ROW_MEMBERS = [
+    (color_grid_on, "grid", gen_grid(5, 6)),
+    (color_2_odd, "two-odd-family", gen_random_biregular(2, 5, 2, 1)),
+    (color_3_3r, "deg3-family", gen_random_biregular(3, 9, 2, 1)),
+    (color_3_3r, "deg3-family", gen_random_biregular(6, 9, 2, 1)),
+    (color_4_4r, "deg4-family", gen_random_biregular(4, 8, 2, 1)),
+    (color_5_5r, "deg5-family", gen_random_biregular(5, 10, 2, 1)),
+    (color_r_2r, "half-family", gen_random_biregular(6, 12, 2, 1)),
+    (color_r_2r, "half-family", gen_random_biregular(7, 14, 2, 1)),
+    (color_3_5, "deg35-family", gen_random_biregular(3, 5, 2, 1)),
+    (color_complete_bipartite_on, "complete-bipartite",
+     relabeled(gen_complete_bipartite(3, 7))),
+    # degrees 5, 3, 2 and 1 and unequal sides: no perfect matching, and
+    # the doubling bound is 27
+    (color_deg5, "deg5", build_graph(8, [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+                                         (1, 3), (1, 4), (1, 5), (2, 6)])),
+]
+
+
+@pytest.mark.parametrize("builder,tag,g", ROW_MEMBERS)
+def test_a_public_builder_is_its_row(builder, tag, g):
+    route = route_bounds(RouteFacts(g))[0][0]
+    assert route.tag == tag
+    auto, direct = color_auto(g), builder(g)
+    assert direct.coloring.color_of == auto.coloring.color_of
+    assert ((direct.palettes, direct.claimed_palette_bound, direct.theorem_tag)
+            == (auto.palettes, auto.claimed_palette_bound, auto.theorem_tag))
+    off_row = gen_complete_bipartite(3, 4) if tag == "grid" else gen_grid(3, 4)
+    with pytest.raises(GraphError) as err:
+        builder(off_row)
+    assert route.note in str(err.value)
+
+
+def test_the_readme_route_table_lists_the_routes_in_order():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Routes\n")[1]
+    section = section.split("\n## ")[0]
+    tags = re.findall(r"^\| \d+ \| `([^`]+)` \|", section, re.MULTILINE)
+    assert tags == [route.tag for route in ROUTES]
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
