@@ -3,13 +3,13 @@ The bound catalog
 =================
 
 For any graph without isolated vertices the catalog evaluates every
-applicable palette bound with its justification tag, attaches a witness
-coloring to the best constructible upper bound, and reports the strongest
-lower bound.
+applicable palette bound with its justification tag and reports the
+strongest lower bound.  The catalog builds nothing; `color_auto` builds the
+coloring of the best constructed upper bound.
 """
 
-from palette_index import (gen_random_biregular, gen_random_even_bipartite,
-                           palette_summary, upper_bound_catalog)
+from palette_index import (color_auto, gen_random_biregular,
+                           gen_random_even_bipartite, upper_bound_catalog)
 
 for name, g in [
     ("a random even bipartite graph with maximum degree 4",
@@ -26,7 +26,7 @@ for name, g in [
                         key=lambda e: (e.value, e.tag)):
         star = "*" if entry.value == report.upper[0] else " "
         print(f"  {star} upper {entry.value:>4}  [{entry.tag}] {entry.note}")
-    if report.witness is not None:
-        achieved = palette_summary(g, report.witness).distinct
-        print(f"  witness coloring achieves {achieved} palettes")
+    result = color_auto(g)
+    print(f"  color_auto achieves {result.palettes} palettes "
+          f"[{result.theorem_tag}]")
     print()

@@ -1,6 +1,6 @@
-"""Palette extraction, the bound catalog, and structural characterizations:
-which graphs need as many palettes as they have vertices, and which can be
-colored with exactly two distinct palettes.
+"""The bound catalog and structural characterizations: which graphs need
+as many palettes as they have vertices, and which can be colored with
+exactly two distinct palettes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ class BoundEntry:
     direction: str  # "lower" or "upper"
     tag: str
     note: str
-    constructed: bool = False  # a witness coloring backs this entry
+    # a `ROUTES` row builds this bound (`color_auto` or the row's builder)
+    constructed: bool = False
 
 
 @dataclass
@@ -34,7 +35,6 @@ class BoundReport:
     lower: tuple[int, str]
     upper: tuple[int, str]
     entries: list[BoundEntry]
-    witness: EdgeColoring | None
 
 
 def _lower_entries(facts: RouteFacts, chi_prime: int | None) -> list[BoundEntry]:
@@ -75,17 +75,16 @@ def palette_lower_bound(g: Graph, chi_prime: int | None = None) -> tuple[int, st
 
 
 def upper_bound_catalog(g: Graph) -> BoundReport:
-    """Every applicable palette bound with its justification.  The witness
-    is the coloring `color_auto` builds, given when its route attains the
-    smallest upper bound."""
+    """Every applicable palette bound with its justification.  The catalog
+    only lists bounds; `color_auto` builds the coloring of the best
+    constructed one."""
     if g.has_isolated_vertices():
         raise GraphError("isolated vertices are not allowed here")
     if g.edge_count == 0:
-        return BoundReport((0, "empty"), (0, "empty"), [], None)
+        return BoundReport((0, "empty"), (0, "empty"), [])
     facts = RouteFacts(g)
     entries = _lower_entries(facts, None)
     lower = max(entries, key=lambda e: e.value)
-    routes = route_bounds(facts)
     delta = g.max_degree
     stated = [(2 ** (delta + 1) - 2, "power-general", "any graph, from a maxdeg+1 coloring")]
     if facts.bip is not None:
@@ -99,16 +98,13 @@ def upper_bound_catalog(g: Graph) -> BoundReport:
         stated.append((delta * delta + delta + 1, "near-regular-stated",
                        "degree spread at most 2; stated, not constructed"))
     uppers = [BoundEntry(value, "upper", route.tag, route.note, True)
-              for route, value in routes]
+              for route, value in route_bounds(facts)]
     uppers += [BoundEntry(value, "upper", tag, note) for value, tag, note in stated]
     # the best route comes first, so it wins a tie with a stated bound
     best = min(uppers, key=lambda e: e.value)
-    witness = (routes[0][0].build(g, facts, routes[0][1]).coloring
-               if best.constructed else None)
     assert lower.value <= best.value, "lower bound exceeds upper bound"
     entries.extend(uppers)
-    return BoundReport((lower.value, lower.tag), (best.value, best.tag), entries,
-                       witness)
+    return BoundReport((lower.value, lower.tag), (best.value, best.tag), entries)
 
 
 # ----------------------------------------------------------------------

@@ -84,8 +84,7 @@ def _cmd_exact(args) -> int:
         extra = 1
         sys.stderr.write(f"note: {isolated} isolated vertices contribute one "
                          "shared empty palette, included in the result\n")
-    limits = SearchLimits(max_nodes=args.max_nodes, max_seconds=args.max_seconds,
-                          max_colors=args.max_colors)
+    limits = SearchLimits(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     result = palette_index_exact(g, limits)
     summary = palette_summary(g, result.witness)
     _emit(serialize_coloring(result.witness, summary.distinct + extra), args.output)
@@ -174,7 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", nargs="?", default="-")
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--max-seconds", type=float, default=None)
-    p.add_argument("--max-colors", type=int, default=None)
     p.add_argument("--output", help="write the witness ColoringFile here")
     p.set_defaults(func=_cmd_exact)
 

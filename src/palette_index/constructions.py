@@ -609,7 +609,7 @@ def _deg5_perfect_bound(f: RouteFacts) -> int | None:
 # tracer's rebinding is seen.  Every other row names its body.  The order
 # breaks ties.
 ROUTES: tuple[Route, ...] = (
-    Route("grid", "grid, exact value",
+    Route("grid", "m-by-n grid in the generator's labeling",
           lambda f: None if f.dims is None else grid_palette_value(*f.dims),
           _color_grid_edges),
     Route("star", "disjoint stars",

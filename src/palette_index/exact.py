@@ -25,10 +25,9 @@ class BudgetExhausted(RuntimeError):
 class SearchLimits:
     max_nodes: int | None = None
     max_seconds: float | None = None
-    max_colors: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("max_nodes", "max_seconds", "max_colors"):
+        for name in ("max_nodes", "max_seconds"):
             val = getattr(self, name)
             if val is not None and val <= 0:
                 raise ValueError(f"{name} must be positive, got {val}")
@@ -38,7 +37,7 @@ class SearchLimits:
 class PaletteIndexResult:
     value: int
     witness: EdgeColoring
-    proved: bool  # False when a budget or color cap stopped the search
+    proved: bool  # False when a budget stopped the search
     nodes: int
 
 
@@ -73,8 +72,6 @@ def palette_index_exact(g: Graph,
 
     degs = g.degrees
     global_lb = len(set(degs))  # palettes of different sizes differ
-    cap = limits.max_colors if limits.max_colors is not None else m
-    capped = cap < m
 
     # greedy first-fit seed in degree-sum order: independent upper bound and
     # fallback witness; when it meets the degree-count bound nothing is left
@@ -83,7 +80,7 @@ def palette_index_exact(g: Graph,
     seed_witness = _witness(seed_order, seed_assign)
     best_value = palette_summary(g, seed_witness).distinct
     if best_value <= global_lb:
-        return PaletteIndexResult(best_value, seed_witness, not capped, 0)
+        return PaletteIndexResult(best_value, seed_witness, True, 0)
 
     order = _saturation_order(g)
     ends = [g.edges[e] for e in order]
@@ -161,8 +158,8 @@ def palette_index_exact(g: Graph,
                 out_of_budget = True
                 break
             u, v = ends[depth]
-            limit = count + 1 if count < cap else count
-            free = ~(pal[u] | pal[v]) & ((1 << limit) - 1)
+            # an open block, or the first unopened one (first-use order)
+            free = ~(pal[u] | pal[v]) & ((2 << count) - 1)
             for p in above[depth]:
                 free &= -(2 << taken[p])
             entry_distinct[depth] = distinct
@@ -226,8 +223,8 @@ def palette_index_exact(g: Graph,
                 break
             depth -= 1
 
-    proved = not out_of_budget and not capped
-    return PaletteIndexResult(best_value, _witness(order, best_assign), proved, nodes)
+    return PaletteIndexResult(best_value, _witness(order, best_assign),
+                              not out_of_budget, nodes)
 
 
 def _witness(order: list[int], assign: list[int]) -> EdgeColoring:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from palette_index.analysis import (classify_full_palette, decide_palette_two,
                                     palette_lower_bound, upper_bound_catalog)
+from palette_index.constructions import color_auto
 from palette_index.exact import chromatic_index_exact, palette_index_exact
 from palette_index.graph import (GraphError, build_graph,
                                  gen_complete_bipartite, gen_grid,
@@ -77,7 +78,7 @@ def test_catalog_even_deg4():
     tags = {e.tag: e.value for e in report.entries if e.direction == "upper"}
     assert tags["even-deg4"] == 3
     assert report.upper[0] <= 3
-    assert report.witness is not None
+    assert color_auto(g).palettes <= report.upper[0]
 
 
 def test_catalog_46_biregular_routes():
@@ -124,8 +125,10 @@ def test_catalog_lower_never_exceeds_upper_on_randoms():
 def test_catalog_without_constructible_entries_has_no_witness():
     g = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (0, 5)])
     report = upper_bound_catalog(g)
-    assert report.witness is None
+    assert not any(e.constructed for e in report.entries)
     assert report.upper == (2 ** (g.max_degree + 1) - 2, "power-general")
+    with pytest.raises(GraphError):
+        color_auto(g)
 
 
 def test_classify_families():

@@ -151,6 +151,26 @@ def test_color_exits_3_when_the_interval_search_runs_out(capsys, tmp_path, monke
     assert err == "budget exhausted: interval coloring search exceeded 1 nodes\n"
 
 
+def test_bounds_lists_the_interval_row_without_running_its_search(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(constructions, "_interval_coloring_search", functools.partial(
+        constructions._interval_coloring_search, budget=1))
+    gpath = write_graph(tmp_path, gen_random_biregular(2, 5, 2, 1))
+    code, out, err = run_cli(capsys, "bounds", gpath)
+    assert code == 0
+    assert err == ""
+    assert "upper 6 two-odd-family\n" in out
+
+
+def test_grid_strategy_names_the_class_it_rejects(capsys, tmp_path):
+    gpath = write_graph(tmp_path, gen_complete_bipartite(3, 4))
+    code, out, err = run_cli(capsys, "color", "--strategy", "grid", gpath)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: graph is not m-by-n grid in the generator's "
+                   "labeling\n")
+
+
 def test_bounds_lines(capsys, tmp_path):
     gpath = write_graph(tmp_path, gen_complete_bipartite(2, 3))
     code, out, _ = run_cli(capsys, "bounds", gpath)

@@ -6,8 +6,9 @@ from __future__ import annotations
 import pytest
 
 from palette_index.analysis import palette_lower_bound, upper_bound_catalog
-from palette_index.coloring import EdgeColoring, palette_summary, verify_proper
-from palette_index.constructions import color_biregular_auto, color_grid
+from palette_index.coloring import EdgeColoring, verify_proper
+from palette_index.constructions import (color_auto, color_biregular_auto,
+                                         color_grid)
 from palette_index.decompose import konig_coloring
 from palette_index.exact import palette_index_exact
 from palette_index.graph import (bipartition, build_graph, even_closure,
@@ -33,8 +34,8 @@ def test_exact_value_between_bounds(g):
     assert palette_lower_bound(g)[0] <= value
     report = upper_bound_catalog(g)
     assert value <= report.upper[0]
-    if report.witness is not None:
-        assert palette_summary(g, report.witness).distinct <= report.upper[0]
+    if any(e.constructed and e.value == report.upper[0] for e in report.entries):
+        assert value <= color_auto(g).palettes <= report.upper[0]
 
 
 @pytest.mark.parametrize("a,b", [(2, 3), (2, 4), (3, 5), (1, 3), (3, 4)])

@@ -60,13 +60,6 @@ def test_palette_index_node_budget_flags_result():
     assert palette_summary(g, result.witness).distinct == result.value
 
 
-def test_palette_index_color_cap_flags_result():
-    g = gen_complete_bipartite(2, 3)
-    result = palette_index_exact(g, SearchLimits(max_colors=3))
-    assert not result.proved
-    assert result.value >= 4
-
-
 def test_search_limits_validation():
     with pytest.raises(ValueError):
         SearchLimits(max_nodes=0)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import palette_index
 from palette_index import constructions
 from palette_index.analysis import upper_bound_catalog
-from palette_index.coloring import palette_summary
 from palette_index.constructions import (ROUTES, RouteFacts, color_2_odd,
                                          color_3_3r, color_3_5, color_4_4r,
                                          color_5_5r, color_auto,
@@ -40,19 +39,35 @@ def assert_catalog_agrees_with_dispatcher(g):
     best = min(e.value for e in uppers)
     assert report.upper[0] == best
     if not any(e.constructed and e.value == best for e in uppers):
-        assert report.witness is None
         return
     route, bound = route_bounds(RouteFacts(g))[0]
     assert (bound, route.tag) == report.upper
     result = color_auto(g)
-    assert palette_summary(g, report.witness).distinct == result.palettes
-    assert result.palettes <= bound
+    assert result.palettes <= result.claimed_palette_bound <= bound
+
+
+def suite_member(a, b):
+    return gen_random_biregular(a, b, 1 if a * b >= 96 else 2, 5)
 
 
 @pytest.mark.parametrize("a,b", SUITE_PROFILES)
 def test_catalog_agrees_with_dispatcher_on_suite_profiles(a, b):
-    scale = 1 if a * b >= 96 else 2
-    assert_catalog_agrees_with_dispatcher(gen_random_biregular(a, b, scale, 5))
+    assert_catalog_agrees_with_dispatcher(suite_member(a, b))
+
+
+def test_the_catalog_builds_nothing(monkeypatch):
+    graphs = [suite_member(a, b) for a, b in SUITE_PROFILES]
+    graphs += [gen_grid(5, 6), gen_complete_bipartite(3, 5)]
+    reports = [upper_bound_catalog(g) for g in graphs]
+
+    def refuse(*args):
+        raise AssertionError("the catalog built a coloring")
+
+    monkeypatch.setattr(constructions, "_finish", refuse)
+    for g, report in zip(graphs, reports):
+        again = upper_bound_catalog(g)
+        assert ((again.entries, again.lower, again.upper)
+                == (report.entries, report.lower, report.upper))
 
 
 @st.composite
