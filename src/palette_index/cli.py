@@ -2,7 +2,7 @@
 exact solver, verify colorings, classify, and run the reproduction suite.
 
 Exit codes: 0 success, 1 failed verification or suite, 2 usage or malformed
-input, 3 budget-exhausted search (the partial result is still printed).
+input, 3 `exact` stopped by its budget (the partial result is still printed).
 """
 
 from __future__ import annotations

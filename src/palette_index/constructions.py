@@ -17,7 +17,6 @@ from .decompose import (Matching, eulerian_circuit, konig_coloring,
                         matching_covering_max_degree, maximum_matching,
                         parity_split, peel_perfect_matchings,
                         split_part_vertices, two_factorization)
-from .exact import BudgetExhausted
 from .graph import (SIDE_X, SIDE_Y, Bipartition, BiregularProfile, Graph,
                     GraphError, bipartition, biregular_profile, edge_subgraph,
                     even_closure, gen_complete_bipartite, gen_grid,
@@ -417,26 +416,27 @@ def _color_3_5(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
 
 
 def color_2_odd(g: Graph) -> ConstructionResult:
-    """Color a (2,2r+1)-biregular graph within 2r+2 palettes.
-
-    A coloring with 2r+2 colors in which every vertex's colors form a
-    consecutive block is found by backtracking, then all colors are reduced
-    modulo 2r+1 into 1..2r+1.
-    """
+    """Color a (2,2r+1)-biregular graph within 2r+2 palettes when a
+    backtracking search of at most `_INTERVAL_NODES` nodes finds a coloring
+    with 2r+2 colors in which every vertex's colors form a consecutive
+    block; all colors are then reduced modulo 2r+1 into 1..2r+1."""
     return _build_row("two-odd-family", g)
 
 
 def _color_2_odd(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
-    interval = _interval_coloring_search(g, f.prof, bound)
-    colors = {eid: 1 + (c - 1) % f.prof.b for eid, c in interval.items()}
+    colors = {eid: 1 + (c - 1) % f.prof.b for eid, c in f.interval.items()}
     return _finish(g, colors, bound, "two-odd-cyclic")
 
 
+_INTERVAL_NODES = 5 * 10 ** 4  # the two-odd row's search budget
+
+
 def _interval_coloring_search(g: Graph, prof: BiregularProfile, t: int,
-                              budget: int = 10 ** 7) -> dict[int, int]:
+                              budget: int) -> dict[int, int] | None:
     """Backtracking search for a proper t-coloring where each vertex's colors
     form a consecutive block; edges are processed grouped by big-side vertex
-    so the block constraints propagate early."""
+    so the block constraints propagate early.  None when the search space or
+    the node budget runs out first."""
     order: list[int] = []
     for y in prof.y_vertices:
         order.extend(g.incidence[y])
@@ -465,8 +465,7 @@ def _interval_coloring_search(g: Graph, prof: BiregularProfile, t: int,
                 continue
             nodes += 1
             if nodes > budget:
-                raise BudgetExhausted(
-                    f"interval coloring search exceeded {budget} nodes")
+                return None
             saved[idx] = (lo[u], hi[u], lo[v], hi[v])
             used[u] |= bit
             used[v] |= bit
@@ -478,10 +477,7 @@ def _interval_coloring_search(g: Graph, prof: BiregularProfile, t: int,
         else:
             color[idx] = 0
             idx -= 1
-    if idx < 0:
-        raise BudgetExhausted("no block-interval coloring found "
-                              f"with {t} colors (search exhausted)")
-    return dict(zip(order, color))
+    return None if idx < 0 else dict(zip(order, color))
 
 
 def _star_coloring(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
@@ -576,6 +572,12 @@ class RouteFacts:
     def matching(self) -> Matching:  # a maximum matching; needs a bipartition
         return maximum_matching(self.g, self.bip)
 
+    @cached_property
+    def interval(self) -> dict[int, int] | None:  # needs a (2,2r+1) profile
+        """A block-interval (b+1)-coloring, or None if the search finds none."""
+        return _interval_coloring_search(self.g, self.prof, self.prof.b + 1,
+                                         _INTERVAL_NODES)
+
 
 @dataclass(frozen=True)
 class Route:
@@ -618,8 +620,11 @@ ROUTES: tuple[Route, ...] = (
           _on_profile(lambda a, b: b // 2 + 1
                       if b % 2 == 0 and a in (2, b - 2) and a < b else None),
           lambda g, f, bound: color_even_bipartite(g)),
-    Route("two-odd-family", "(2,2r+1)-biregular",
-          _on_profile(lambda a, b: b + 1 if a == 2 and b % 2 == 1 else None),
+    Route("two-odd-family",
+          "(2,2r+1)-biregular with a block-interval (2r+2)-coloring found "
+          "within the search budget",
+          lambda f: (f.prof.b + 1 if f.prof is not None and f.prof.a == 2
+                     and f.prof.b % 2 == 1 and f.interval is not None else None),
           _color_2_odd),
     Route("deg3-family", "(3,3r)- or (3r-3,3r)-biregular, r >= 2",
           _on_profile(lambda a, b: (b // 3) ** 2 + 1

@@ -29,7 +29,7 @@ class SearchLimits:
     def __post_init__(self) -> None:
         for name in ("max_nodes", "max_seconds"):
             val = getattr(self, name)
-            if val is not None and val <= 0:
+            if val is not None and not val > 0:  # NaN is not > 0 either
                 raise ValueError(f"{name} must be positive, got {val}")
 
 

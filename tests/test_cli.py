@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import re
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -141,25 +141,55 @@ def test_verify_names_an_uncolored_edge_as_the_file_does(capsys, tmp_path):
     assert err == "error: partial coloring: edge 2 has no color\n"
 
 
-def test_color_exits_3_when_the_interval_search_runs_out(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(constructions, "_interval_coloring_search", functools.partial(
-        constructions._interval_coloring_search, budget=1))
-    gpath = write_graph(tmp_path, gen_random_biregular(2, 5, 2, 1))
-    code, out, err = run_cli(capsys, "color", gpath)
-    assert code == 3
-    assert out == ""
-    assert err == "budget exhausted: interval coloring search exceeded 1 nodes\n"
-
-
-def test_bounds_lists_the_interval_row_without_running_its_search(
+def test_color_falls_through_when_the_interval_search_runs_out(
         capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(constructions, "_interval_coloring_search", functools.partial(
-        constructions._interval_coloring_search, budget=1))
+    monkeypatch.setattr(constructions, "_INTERVAL_NODES", 1)
+    gpath = write_graph(tmp_path, gen_random_biregular(2, 5, 2, 1))
+    code, out, err = run_cli(capsys, "color", gpath, "--output",
+                             str(tmp_path / "c.txt"))
+    assert (code, out, err) == (0, "palettes=5 bound=9 theorem=doubling\n", "")
+
+
+def test_bounds_drops_the_interval_row_when_its_search_runs_out(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(constructions, "_INTERVAL_NODES", 1)
     gpath = write_graph(tmp_path, gen_random_biregular(2, 5, 2, 1))
     code, out, err = run_cli(capsys, "bounds", gpath)
     assert code == 0
     assert err == ""
-    assert "upper 6 two-odd-family\n" in out
+    assert "two-odd-family" not in out
+    assert out.split("upper ", 1)[1].startswith("9 doubling\n")
+
+
+# 50 edges on which no block-interval 6-coloring turns up within the row's
+# search budget: the row declines and doubling, the next best, colors it
+TWO_ODD_DECLINES = ("gen", "--family", "biregular", "--a", "2", "--b", "5",
+                    "--scale", "5", "--seed", "1")
+
+
+def test_color_on_a_graph_the_interval_row_declines(capsys, tmp_path):
+    code, text, _ = run_cli(capsys, *TWO_ODD_DECLINES)
+    assert code == 0
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "color", str(gpath), "--output",
+                             str(tmp_path / "c.txt"))
+    assert time.perf_counter() - start < 10
+    assert (code, out, err) == (0, "palettes=9 bound=9 theorem=doubling\n", "")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", str(gpath))
+    assert time.perf_counter() - start < 10
+    assert code == 0 and err == ""
+    assert "two-odd-family" not in out and "upper 9 doubling\n" in out
+
+
+def test_exact_refuses_a_nan_wall_budget(capsys, tmp_path):
+    gpath = write_graph(tmp_path, gen_complete_bipartite(2, 3))
+    code, out, err = run_cli(capsys, "exact", gpath, "--max-seconds", "nan")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_seconds must be positive, got nan\n"
 
 
 def test_grid_strategy_names_the_class_it_rejects(capsys, tmp_path):

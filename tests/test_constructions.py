@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palette_index.coloring import palette_summary
-from palette_index.constructions import (RouteFacts,
+from palette_index.constructions import (ROUTES, RouteFacts,
                                          _interval_coloring_search,
                                          color_2_odd, color_3_3r, color_3_5,
-                                         color_4_4r, color_5_5r,
+                                         color_4_4r, color_5_5r, color_auto,
                                          color_biregular_auto,
                                          color_complete_bipartite,
                                          color_complete_bipartite_on, color_deg5,
@@ -20,7 +21,6 @@ from palette_index.constructions import (RouteFacts,
                                          color_via_doubling,
                                          grid_palette_value, recognize_grid)
 from palette_index.decompose import two_factorization
-from palette_index.exact import BudgetExhausted
 from palette_index.graph import (Graph, GraphError, bipartition,
                                  biregular_profile, build_graph,
                                  gen_complete_bipartite,
@@ -451,10 +451,25 @@ def test_2_odd_wider_profiles(b):
     assert result.palettes <= b + 1
 
 
-def test_interval_search_raises_budget_exhausted():
+def test_interval_search_returns_none_when_its_budget_runs_out():
     g = gen_random_biregular(2, 5, 2, 1)
-    with pytest.raises(BudgetExhausted, match="exceeded 1 nodes"):
-        _interval_coloring_search(g, biregular_profile(g), 6, budget=1)
+    prof = biregular_profile(g)
+    assert _interval_coloring_search(g, prof, 6, budget=10 ** 4) is not None
+    assert _interval_coloring_search(g, prof, 6, budget=1) is None
+
+
+def test_interval_search_returns_none_when_its_search_space_runs_out():
+    # a degree-5 vertex cannot hold a block of 5 colors out of 4
+    g = gen_complete_bipartite(2, 5)
+    assert _interval_coloring_search(g, biregular_profile(g), 4, budget=10 ** 6) is None
+
+
+def test_2_odd_declines_where_its_search_finds_no_coloring():
+    g = gen_random_biregular(2, 5, 5, 1)
+    note = next(r.note for r in ROUTES if r.tag == "two-odd-family")
+    with pytest.raises(GraphError, match=re.escape(f"graph is not {note}")):
+        color_2_odd(g)
+    assert color_auto(g).theorem_tag == "doubling"
 
 
 def test_deg5_rejects_isolated():

@@ -65,6 +65,14 @@ def test_search_limits_validation():
         SearchLimits(max_nodes=0)
 
 
+@pytest.mark.parametrize("seconds", [float("nan"), 0.0, -1.0])
+def test_search_limits_refuse_a_wall_budget_that_is_not_positive(seconds):
+    # NaN compares False both ways, so a `<= 0` test would let it through
+    # and the deadline would never fire
+    with pytest.raises(ValueError, match="max_seconds must be positive"):
+        SearchLimits(max_seconds=seconds)
+
+
 def test_regular_class2_never_two():
     for g in (cycle(5), cycle(7), complete(3)):
         assert palette_index_exact(g).value != 2

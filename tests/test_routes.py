@@ -262,3 +262,18 @@ def test_a_grid_is_recognized_once(monkeypatch, entry):
     monkeypatch.setattr(constructions, "recognize_grid", counted)
     entry(gen_grid(5, 6))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entry", [color_auto, upper_bound_catalog])
+def test_the_interval_search_runs_once(monkeypatch, entry):
+    calls = []
+    real = constructions._interval_coloring_search
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(constructions, "_interval_coloring_search", counted)
+    g = gen_random_biregular(2, 5, 2, 1)
+    entry(g)
+    assert len(calls) == 1
