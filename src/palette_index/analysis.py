@@ -81,7 +81,9 @@ def upper_bound_catalog(g: Graph) -> BoundReport:
     if g.has_isolated_vertices():
         raise GraphError("isolated vertices are not allowed here")
     if g.edge_count == 0:
-        return BoundReport((0, "empty"), (0, "empty"), [])
+        return BoundReport((0, "empty"), (0, "empty"),
+                           [BoundEntry(0, "lower", "empty", "no edges"),
+                            BoundEntry(0, "upper", "empty", "no edges")])
     facts = RouteFacts(g)
     entries = _lower_entries(facts, None)
     lower = max(entries, key=lambda e: e.value)

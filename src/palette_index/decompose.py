@@ -6,6 +6,9 @@ One primitive carries the bipartite work: `konig_coloring`, the
 alternating-path max-degree edge coloring.  Perfect matchings of regular
 bipartite graphs and 2-factors are read from its color classes; a true
 maximum matching (Hopcroft-Karp) is computed only where one is asked for.
+Its alternating paths are swapped by `swap_kempe_chain`, one walk that
+exchanges two colors in place over an `at[v][c] -> edge` table; Vizing's
+fan recoloring in `exact` swaps its paths with the same walk.
 
 Everything here is deterministic: trails start at the smallest vertex id,
 and edges are colored, and scanned for augmenting paths, in ascending
@@ -219,6 +222,28 @@ def peel_perfect_matchings(g: Graph, bip: Bipartition,
     return [frozenset(cls) for cls in classes]
 
 
+def swap_kempe_chain(at: list[list[int]], color: list[int], ends: list[int],
+                     v: int, a: int, b: int) -> None:
+    """Swap colors a and b, in place, along the a/b Kempe chain from v,
+    which must miss b.
+
+    `at[w][c]` is the edge of color c at w (-1 if none), `color[e]` the color
+    of edge e, and `ends[e]` the xor of its two ends.  The chain from a vertex
+    missing b is a path, so each of its vertices is visited once, and
+    exchanging the a and b slots of its table row is its whole update: an
+    inner vertex keeps both edges, and an end holds -1 in one of the slots.
+    """
+    w, c = v, a
+    row = at[v]
+    while (e := row[c]) >= 0:
+        row[a], row[b] = row[b], row[a]
+        c = a + b - c
+        color[e] = c
+        w ^= ends[e]  # the other end
+        row = at[w]
+    row[a], row[b] = row[b], row[a]
+
+
 def konig_coloring(g: Graph, bip: Bipartition) -> EdgeColoring:
     """Proper edge coloring of a bipartite multigraph with exactly
     max-degree many colors, so every maximum-degree vertex sees the full
@@ -226,35 +251,23 @@ def konig_coloring(g: Graph, bip: Bipartition) -> EdgeColoring:
 
     Kőnig's alternating-path proof: edges are colored in ascending id order.
     Edge uv, with u on side Y, takes the smallest color a free at u; when a
-    is taken at v, colors a and b (the smallest free at v) are swapped along
-    the a/b path from v.  That path enters u's side only by a-edges, and u
-    has none, so it never reaches u.  No padding to a regular graph is
-    needed.
+    is taken at v, colors a and b (the smallest free at v) are exchanged in
+    place along the a/b chain from v by `swap_kempe_chain`.  That chain
+    enters u's side only by a-edges, and u has none, so it never reaches u.
+    No padding to a regular graph is needed.
     """
     delta = g.max_degree
     edges, side_of = g.edges, bip.side_of
     at = [[-1] * (delta + 1) for _ in range(g.vertex_count)]  # at[v][c]: edge
     color = [0] * g.edge_count
+    ends = [x ^ y for x, y in edges]
     for eid, (u, v) in enumerate(edges):
         if side_of[u] == SIDE_X:
             u, v = v, u
         at_u, at_v = at[u], at[v]
         a = at_u.index(-1, 1)
         if at_v[a] >= 0:
-            b = at_v.index(-1, 1)
-            path, w, c = [], v, a
-            while (e := at[w][c]) >= 0:
-                path.append(e)
-                x, y = edges[e]
-                w = x ^ y ^ w  # the other end
-                c = a + b - c
-            for e in path:
-                x, y = edges[e]
-                at[x][color[e]] = at[y][color[e]] = -1
-            for e in path:
-                color[e] = c = a + b - color[e]
-                x, y = edges[e]
-                at[x][c] = at[y][c] = e
+            swap_kempe_chain(at, color, ends, v, a, at_v.index(-1, 1))
         color[eid] = a
         at_u[a] = at_v[a] = eid
     return EdgeColoring(dict(enumerate(color)))

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring, palette_summary
-from .decompose import konig_coloring
+from .decompose import konig_coloring, swap_kempe_chain
 from .graph import Graph, GraphError, bipartition
 
 
@@ -422,44 +422,33 @@ def _edge_colorable(g: Graph, k: int, limits: SearchLimits) -> bool:
 
 def vizing_coloring(g: Graph) -> EdgeColoring:
     """Proper coloring of a simple graph with at most maxdeg+1 colors by fan
-    rotation and alternating-path recoloring; deterministic in edge order."""
+    rotation and alternating-path recoloring; deterministic in edge order.
+
+    The tables are `konig_coloring`'s: `at[v][c]` is the edge of color c at
+    v (-1 if none), `color[e]` is 0 while e is uncolored, and each path is
+    inverted in place by `swap_kempe_chain`."""
     if not g.is_simple():
         raise GraphError("fan recoloring requires a simple graph")
     k = g.max_degree + 1
-    color: dict[int, int] = {}
-    at: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
+    color = [0] * g.edge_count
+    at = [[-1] * (k + 1) for _ in range(g.vertex_count)]
+    ends = [x ^ y for x, y in g.edges]
 
     def free(v: int) -> int:
-        for c in range(1, k + 1):
-            if c not in at[v]:
-                return c
-        raise AssertionError("no free color; degree bound violated")
+        return at[v].index(-1, 1)  # a vertex of degree < k always has one
 
     def set_color(eid: int, c: int) -> None:
         u, v = g.edges[eid]
-        assert c not in at[u] and c not in at[v]
+        assert at[u][c] < 0 and at[v][c] < 0
         color[eid] = c
-        at[u][c] = eid
-        at[v][c] = eid
+        at[u][c] = at[v][c] = eid
 
     def unset_color(eid: int) -> int:
-        c = color.pop(eid)
+        c = color[eid]
+        color[eid] = 0
         u, v = g.edges[eid]
-        del at[u][c]
-        del at[v][c]
+        at[u][c] = at[v][c] = -1
         return c
-
-    def invert_path(start: int, d: int, c: int) -> None:
-        path = []
-        v, want = start, d
-        while want in at[v]:
-            eid = at[v][want]
-            path.append(eid)
-            v = g.other_end(eid, v)
-            want = c if want == d else d
-        olds = [unset_color(eid) for eid in path]
-        for eid, old in zip(path, olds):
-            set_color(eid, c if old == d else d)
 
     for e0 in range(g.edge_count):
         x, f = g.edges[e0]
@@ -468,9 +457,9 @@ def vizing_coloring(g: Graph) -> EdgeColoring:
         in_fan = {f}
         while True:
             beta = free(fan[-1])
-            if beta not in at[x]:
-                break
             nxt = at[x][beta]
+            if nxt < 0:
+                break
             w = g.other_end(nxt, x)
             if w in in_fan:
                 break
@@ -479,14 +468,14 @@ def vizing_coloring(g: Graph) -> EdgeColoring:
             in_fan.add(w)
         c = free(x)
         d = free(fan[-1])
-        if d in at[x]:
-            invert_path(x, d, c)
+        if at[x][d] >= 0:
+            swap_kempe_chain(at, color, ends, x, d, c)
         # rotate the longest prefix that is still a fan and ends where d is free
         j = None
         for idx in range(len(fan)):
-            if idx > 0 and color[fan_edges[idx]] in at[fan[idx - 1]]:
+            if idx > 0 and at[fan[idx - 1]][color[fan_edges[idx]]] >= 0:
                 break
-            if d not in at[fan[idx]]:
+            if at[fan[idx]][d] < 0:
                 j = idx
         assert j is not None, "fan recoloring failed to free a color"
         for i in range(j):
@@ -494,4 +483,4 @@ def vizing_coloring(g: Graph) -> EdgeColoring:
             set_color(fan_edges[i], moved)
         set_color(fan_edges[j], d)
 
-    return EdgeColoring(color)
+    return EdgeColoring(dict(enumerate(color)))

@@ -211,6 +211,12 @@ def test_bounds_lines(capsys, tmp_path):
     assert any(line.startswith("upper 4 ") for line in lines)
 
 
+def test_bounds_on_the_empty_graph_names_both_bounds(capsys, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("p 0 0\n")
+    assert run_cli(capsys, "bounds", str(path)) == (0, "lower 0 empty\nupper 0 empty\n", "")
+
+
 def test_classify_star(capsys, tmp_path):
     gpath = write_graph(tmp_path, gen_complete_bipartite(1, 4))
     code, out, _ = run_cli(capsys, "classify", gpath)

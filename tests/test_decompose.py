@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from palette_index import decompose
 from palette_index.coloring import EdgeColoring, palette_summary, verify_proper
 from palette_index.decompose import (Matching, eulerian_circuit,
                                      konig_coloring,
                                      matching_covering_max_degree,
                                      maximum_matching, parity_split,
                                      peel_perfect_matchings,
-                                     split_part_vertices, two_factorization)
+                                     split_part_vertices, swap_kempe_chain,
+                                     two_factorization)
 from palette_index.graph import (SIDE_X, SIDE_Y, Bipartition, GraphError,
                                  bipartition, biregular_profile, build_graph,
                                  components, edge_subgraph,
@@ -401,6 +403,57 @@ def test_konig_coloring_matches_the_reference_walk(g_bip):
     assert konig_coloring(g, bip) == reference_konig_coloring(g, bip)
     bfs = bipartition(g)
     assert konig_coloring(g, bfs) == reference_konig_coloring(g, bfs)
+
+
+def test_konig_coloring_matches_the_reference_on_a_realization_graph(monkeypatch):
+    # the 2-regular in/out graph that two_factorization colors for a
+    # 4-regular graph, where one alternating chain runs 550 edges long
+    g = gen_random_biregular(4, 4, 125, 1)
+    assert g.edge_count == 2000
+    calls = []
+
+    def recording(h, bip):
+        calls.append((h, bip))
+        return konig_coloring(h, bip)
+
+    monkeypatch.setattr(decompose, "konig_coloring", recording)
+    two_factorization(g)
+    [(realization, bip)] = calls
+    assert realization.max_degree == 2 and realization.edge_count == 2000
+    assert konig_coloring(realization, bip) == reference_konig_coloring(realization, bip)
+
+
+def test_konig_coloring_matches_the_reference_on_a_3_9_graph():
+    g = gen_random_biregular(3, 9, 30, 2)
+    bip = bipartition(g)
+    assert konig_coloring(g, bip) == reference_konig_coloring(g, bip)
+
+
+def edge_table(g, color, k):
+    at = [[-1] * (k + 1) for _ in range(g.vertex_count)]
+    for eid, (x, y) in enumerate(g.edges):
+        at[x][color[eid]] = at[y][color[eid]] = eid
+    return at
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+def test_swap_kempe_chain_swaps_a_hand_built_chain_in_place(length):
+    # the 1/3 chain 0-1-...-length starts at vertex 0, which misses 3; a
+    # color-2 pendant hangs off each path vertex and must not move
+    n = length + 1
+    edges = [(i, i + 1) for i in range(length)] + [(i, n + i) for i in range(n)]
+    g = build_graph(2 * n, edges)
+    color = [1 if i % 2 == 0 else 3 for i in range(length)] + [2] * n
+    at = edge_table(g, color, 3)
+    ends = [x ^ y for x, y in g.edges]
+    swap_kempe_chain(at, color, ends, 0, 1, 3)
+    assert color == [3 if i % 2 == 0 else 1 for i in range(length)] + [2] * n
+    assert at == edge_table(g, color, 3)  # every slot, so no stale entry
+    for eid, (x, y) in enumerate(g.edges):
+        assert at[x][color[eid]] == at[y][color[eid]] == eid
+    assert at[0][1] == -1 and at[0][3] == 0
+    last = 1 if length % 2 else 3  # the color the far end now lacks
+    assert at[length][last] == -1 and at[length][4 - last] == length - 1
 
 
 @settings(deadline=None)

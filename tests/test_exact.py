@@ -3,14 +3,14 @@ from __future__ import annotations
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palette_index.coloring import palette_summary, verify_proper
+from palette_index.coloring import EdgeColoring, palette_summary, verify_proper
 from palette_index.exact import (BudgetExhausted, SearchLimits,
                                  chromatic_index_exact, palette_index_exact,
                                  palette_index_naive, vizing_coloring)
-from palette_index.graph import (GraphError, build_graph,
+from palette_index.graph import (Graph, GraphError, build_graph,
                                  gen_complete_bipartite, gen_grid,
                                  gen_random_biregular, without_isolated)
 
@@ -179,6 +179,90 @@ def test_vizing_rejects_multigraph():
     with pytest.raises(GraphError):
         vizing_coloring(build_graph(2, [(0, 1), (0, 1)]))
 
+
+def reference_vizing_coloring(g: Graph) -> EdgeColoring:
+    """`vizing_coloring` as first written, on per-vertex dict tables with its
+    own alternating-path walk, kept to pin its colors."""
+    if not g.is_simple():
+        raise GraphError("fan recoloring requires a simple graph")
+    k = g.max_degree + 1
+    color: dict[int, int] = {}
+    at: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
+
+    def free(v: int) -> int:
+        for c in range(1, k + 1):
+            if c not in at[v]:
+                return c
+        raise AssertionError("no free color; degree bound violated")
+
+    def set_color(eid: int, c: int) -> None:
+        u, v = g.edges[eid]
+        assert c not in at[u] and c not in at[v]
+        color[eid] = c
+        at[u][c] = eid
+        at[v][c] = eid
+
+    def unset_color(eid: int) -> int:
+        c = color.pop(eid)
+        u, v = g.edges[eid]
+        del at[u][c]
+        del at[v][c]
+        return c
+
+    def invert_path(start: int, d: int, c: int) -> None:
+        path = []
+        v, want = start, d
+        while want in at[v]:
+            eid = at[v][want]
+            path.append(eid)
+            v = g.other_end(eid, v)
+            want = c if want == d else d
+        olds = [unset_color(eid) for eid in path]
+        for eid, old in zip(path, olds):
+            set_color(eid, c if old == d else d)
+
+    for e0 in range(g.edge_count):
+        x, f = g.edges[e0]
+        fan = [f]
+        fan_edges = [e0]
+        in_fan = {f}
+        while True:
+            beta = free(fan[-1])
+            if beta not in at[x]:
+                break
+            nxt = at[x][beta]
+            w = g.other_end(nxt, x)
+            if w in in_fan:
+                break
+            fan.append(w)
+            fan_edges.append(nxt)
+            in_fan.add(w)
+        c = free(x)
+        d = free(fan[-1])
+        if d in at[x]:
+            invert_path(x, d, c)
+        # rotate the longest prefix that is still a fan and ends where d is free
+        j = None
+        for idx in range(len(fan)):
+            if idx > 0 and color[fan_edges[idx]] in at[fan[idx - 1]]:
+                break
+            if d not in at[fan[idx]]:
+                j = idx
+        assert j is not None, "fan recoloring failed to free a color"
+        for i in range(j):
+            moved = unset_color(fan_edges[i + 1])
+            set_color(fan_edges[i], moved)
+        set_color(fan_edges[j], d)
+
+    return EdgeColoring(color)
+
+
+@settings(deadline=None, max_examples=200)
+@given(simple_graphs(max_n=9, max_m=18))
+@example(complete(5))
+@example(cycle(5))
+def test_vizing_coloring_matches_the_reference(g):
+    assert vizing_coloring(g) == reference_vizing_coloring(g)
 
 @settings(deadline=None, max_examples=150)
 @given(simple_graphs(max_n=9, max_m=18))
