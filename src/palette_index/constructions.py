@@ -13,10 +13,10 @@ from functools import cached_property
 from typing import Callable
 
 from .coloring import EdgeColoring, palette_summary
-from .decompose import (Matching, eulerian_circuit, konig_coloring,
+from .decompose import (Matching, factor_cycles, konig_coloring,
                         matching_covering_max_degree, maximum_matching,
                         parity_split, peel_perfect_matchings,
-                        split_part_vertices, two_factorization)
+                        split_part_vertices)
 from .graph import (SIDE_X, SIDE_Y, Bipartition, BiregularProfile, Graph,
                     GraphError, bipartition, biregular_profile, edge_subgraph,
                     even_closure, gen_complete_bipartite, gen_grid,
@@ -58,11 +58,11 @@ def color_even_bipartite(g: Graph) -> ConstructionResult:
     """Proper coloring of an even bipartite graph where every palette is a
     union of color pairs {2i-1, 2i}.
 
-    Loops are added to raise every vertex to the maximum degree, the regular
-    multigraph is split into 2-factors, and after dropping the loops each
-    factor's even cycles are colored alternately with its own color pair.
-    The distinct-palette count is at most the sum over present degrees d of
-    C(maxdeg/2, d/2).
+    Loops raise every vertex to the maximum degree and the regular
+    multigraph is split into 2-factors; each factor's even cycles, as
+    `factor_cycles` walks them with the loops dropped, are colored
+    alternately with the factor's own color pair.  The distinct-palette
+    count is at most the sum over present degrees d of C(maxdeg/2, d/2).
     """
     _require_bipartite(g)
     if g.has_isolated_vertices():
@@ -71,19 +71,9 @@ def color_even_bipartite(g: Graph) -> ConstructionResult:
         raise GraphError("all degrees must be even")
     if g.edge_count == 0:
         return _finish(g, {}, 0, "even-bipartite-pairs")
-    delta = g.max_degree
-    r = delta // 2
-    m = g.edge_count
-    padded_edges = list(g.edges)
-    for v in range(g.vertex_count):
-        padded_edges.extend([(v, v)] * (r - g.degrees[v] // 2))
-    star = Graph(g.vertex_count, tuple(padded_edges), loop_allowed=True)
-    factors = two_factorization(star).factors
     colors: dict[int, int] = {}
-    for i, factor in enumerate(factors, start=1):
-        # each trail is one even cycle, from its smallest vertex along its
-        # smaller edge id
-        for cycle in eulerian_circuit(g, [eid for eid in factor if eid < m]):
+    for i, cycles in enumerate(factor_cycles(g), start=1):
+        for cycle in cycles:
             for pos, eid in enumerate(cycle):
                 colors[eid] = 2 * i - 1 + pos % 2
     return _finish(g, colors, _even_pairs_bound(g), "even-bipartite-pairs")

@@ -4,11 +4,17 @@ bipartite graphs, vertex splitting, and alternating parity splits.
 
 One primitive carries the bipartite work: `konig_coloring`, the
 alternating-path max-degree edge coloring.  Perfect matchings of regular
-bipartite graphs and 2-factors are read from its color classes; a true
-maximum matching (Hopcroft-Karp) is computed only where one is asked for.
-Its alternating paths are swapped by `swap_kempe_chain`, one walk that
-exchanges two colors in place over an `at[v][c] -> edge` table; Vizing's
-fan recoloring in `exact` swaps its paths with the same walk.
+bipartite graphs are read from its color classes; a true maximum matching
+(Hopcroft-Karp) is computed only where one is asked for.  Its alternating
+paths are swapped by `swap_kempe_chain`, one walk that exchanges two colors
+in place over an `at[v][c] -> edge` table; Vizing's fan recoloring in
+`exact` swaps its paths with the same walk.
+
+2-factors come from one such table: Kőnig's loop colors the arcs of an
+Euler orientation of the graph padded with loops, so that every vertex has
+one out-arc and one in-arc of each color.  `two_factorization` reads its
+factors off that table, and `factor_cycles` walks each factor's cycles
+along it.
 
 Everything here is deterministic: trails start at the smallest vertex id,
 and edges are colored, and scanned for augmenting paths, in ascending
@@ -17,6 +23,7 @@ edge-id order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring
@@ -41,36 +48,24 @@ class FactorSet:
     factors: tuple[frozenset[int], ...]
 
 
-def eulerian_circuit(g: Graph, edge_ids=None) -> list[list[int]]:
+def eulerian_circuit(g: Graph) -> list[list[int]]:
     """One closed Eulerian trail per component with edges, as edge-id lists.
 
     Requires every degree to be even.  Hierholzer stitching with
     smallest-unused-edge tie-breaking runs on the host graph from each
     vertex, in id order, that still has an unused edge, so each trail starts
-    at the smallest vertex id of its component.  Given `edge_ids`, the
-    trails cover just those edges of g, the trails of their edge subgraph
-    without building it.
+    at the smallest vertex id of its component.
     """
-    if edge_ids is None:
-        degrees = g.degrees
-        used = [False] * g.edge_count
-    else:
-        deg = [0] * g.vertex_count
-        used = [True] * g.edge_count
-        for eid in edge_ids:
-            u, v = g.edges[eid]
-            deg[u] += 1
-            deg[v] += 1
-            used[eid] = False
-        degrees = deg
+    degrees = g.degrees
     for v, d in enumerate(degrees):
         if d % 2 != 0:
             raise GraphError(f"vertex {v} has odd degree {d}; no Eulerian circuit")
     incidence, edges = g.incidence, g.edges
+    used = [False] * g.edge_count
     ptr = [0] * g.vertex_count
     circuits: list[list[int]] = []
     for start in range(g.vertex_count):
-        if degrees[start] == 0 or ptr[start] == len(incidence[start]):
+        if ptr[start] == len(incidence[start]):
             continue  # isolated, or its component's trail is done
         # the walk as two parallel stacks: each vertex, and the edge used to
         # arrive there (-1 at the start)
@@ -105,9 +100,8 @@ def two_factorization(g: Graph) -> FactorSet:
     """Split a 2r-regular multigraph (loops allowed, counting 2) into r
     2-factors.
 
-    Each component's Eulerian circuit is oriented; the resulting in/out
-    bipartite realization graph is r-regular, and its r color classes under
-    `konig_coloring` pull back to r spanning 2-regular factors.
+    Factor i holds the edges whose arcs take color i in `_two_factor_table`:
+    the out-arcs of color i, one per vertex.
     """
     degs = set(g.degrees)
     if len(degs) > 1:
@@ -120,37 +114,84 @@ def two_factorization(g: Graph) -> FactorSet:
     r = d // 2
     if r == 0:
         return FactorSet(())
+    at, _, source = _two_factor_table(g, r)
+    outs = at[:g.vertex_count]
+    return FactorSet(tuple(frozenset(source[row[i]] for row in outs)
+                           for i in range(1, r + 1)))
+
+
+def factor_cycles(g: Graph) -> list[list[list[int]]]:
+    """The cycles of each 2-factor of g padded with loops to its maximum
+    degree, without the loops: one list of edge-id cycles per factor.
+
+    Requires every degree to be even.  The cycles of a factor are listed by
+    their smallest vertex, and each runs from that vertex along the smaller
+    id of its two factor edges.  A cycle is a directed cycle of the factor's
+    arcs in `_two_factor_table`, walked forward along out-arcs or backward
+    along in-arcs; the start picks the arc, not the neighbour, so a 2-cycle
+    of parallel edges is walked the right way.
+    """
+    if not g.is_even():
+        raise GraphError("all degrees must be even")
+    n, m, r = g.vertex_count, g.edge_count, g.max_degree // 2
+    if r == 0:
+        return []
+    at, arcs, source = _two_factor_table(g, r)
+    walked = [0] * n  # walked[v] == i once v's cycle of factor i is listed
+    factors: list[list[list[int]]] = []
+    for i in range(1, r + 1):
+        cycles: list[list[int]] = []
+        for v0 in range(n):
+            out, back = at[v0][i], at[n + v0][i]
+            if walked[v0] == i or source[out] >= m:
+                continue  # listed already, or a padding loop
+            forward = source[out] < source[back]
+            a, cycle = (out if forward else back), []
+            while True:
+                cycle.append(source[a])
+                tail, head = arcs[a]
+                v = head - n if forward else tail
+                walked[v] = i
+                if v == v0:
+                    break
+                a = at[v][i] if forward else at[n + v][i]
+            cycles.append(cycle)
+        factors.append(cycles)
+    return factors
+
+
+def _two_factor_table(g: Graph, r: int
+                      ) -> tuple[list[list[int]], list[tuple[int, int]], list[int]]:
+    """Petersen's 2-factorization of g padded to 2r-regular, as Kőnig's
+    table over an Euler orientation.
+
+    Every vertex v of degree d gets r - d/2 loops, with ids after g's edges.
+    Each component's Eulerian circuit is oriented from its smallest vertex,
+    and arc a from tail t to head h is the edge (t, n + h) of the in/out
+    bipartite realization, which is r-regular.  Kőnig colors its arcs with
+    1..r: `at[t][i]` is t's out-arc of color i and `at[n + h][i]` h's
+    in-arc, so each color is a spanning 2-regular factor.  Returns `at`, the
+    arcs as (t, n + h) pairs in circuit order, and `source[a]`, the edge id
+    of arc a.
+    """
     n = g.vertex_count
+    loops = [(v, v) for v, d in enumerate(g.degrees) for _ in range(r - d // 2)]
+    star = Graph(n, g.edges + tuple(loops), loop_allowed=True) if loops else g
+    edges = star.edges
     arcs: list[tuple[int, int]] = []
-    arc_source: list[int] = []
-    for circuit in eulerian_circuit(g):
-        # the trail starts at the component's smallest vertex
-        tail = min(min(g.edges[eid]) for eid in circuit)
+    source: list[int] = []
+    for circuit in eulerian_circuit(star):
+        tail = min(edges[circuit[0]])  # the trail starts at its smallest vertex
         for eid in circuit:
-            head = g.other_end(eid, tail)
+            x, y = edges[eid]
+            head = x ^ y ^ tail
             arcs.append((tail, n + head))
-            arc_source.append(eid)
+            source.append(eid)
             tail = head
-    realization = Graph(2 * n, tuple(arcs))
-    bip = Bipartition(tuple([SIDE_X] * n + [SIDE_Y] * n))
-    factors = tuple(frozenset(arc_source[a] for a in cls)
-                    for cls in peel_perfect_matchings(realization, bip, r))
-    _check_two_factors(g, factors)
-    return FactorSet(factors)
-
-
-def _check_two_factors(g: Graph, factors: tuple[frozenset[int], ...]) -> None:
-    seen: set[int] = set()
-    for factor in factors:
-        assert not (factor & seen), "factors overlap"
-        seen |= factor
-        deg = [0] * g.vertex_count
-        for eid in factor:
-            u, v = g.edges[eid]
-            deg[u] += 1
-            deg[v] += 1
-        assert all(x == 2 for x in deg), "factor is not spanning 2-regular"
-    assert len(seen) == g.edge_count, "factors do not cover all edges"
+    at, _ = _konig_table(2 * n, r, arcs, [SIDE_X] * n + [SIDE_Y] * n)
+    assert all(row.count(-1) == 1 for row in at), \
+        "a vertex misses an out-arc or an in-arc of some color"
+    return at, arcs, source
 
 
 def maximum_matching(g: Graph, bip: Bipartition) -> Matching:
@@ -256,10 +297,17 @@ def konig_coloring(g: Graph, bip: Bipartition) -> EdgeColoring:
     enters u's side only by a-edges, and u has none, so it never reaches u.
     No padding to a regular graph is needed.
     """
-    delta = g.max_degree
-    edges, side_of = g.edges, bip.side_of
-    at = [[-1] * (delta + 1) for _ in range(g.vertex_count)]  # at[v][c]: edge
-    color = [0] * g.edge_count
+    _, color = _konig_table(g.vertex_count, g.max_degree, g.edges, bip.side_of)
+    return EdgeColoring(dict(enumerate(color)))
+
+
+def _konig_table(vertex_count: int, delta: int,
+                 edges: Sequence[tuple[int, int]], side_of: Sequence[int]
+                 ) -> tuple[list[list[int]], list[int]]:
+    """`konig_coloring` over plain lists: returns its table, `at[v][c]` the
+    edge of color c at v (-1 if none, slot 0 unused), and `color[e]`."""
+    at = [[-1] * (delta + 1) for _ in range(vertex_count)]
+    color = [0] * len(edges)
     ends = [x ^ y for x, y in edges]
     for eid, (u, v) in enumerate(edges):
         if side_of[u] == SIDE_X:
@@ -270,7 +318,7 @@ def konig_coloring(g: Graph, bip: Bipartition) -> EdgeColoring:
             swap_kempe_chain(at, color, ends, v, a, at_v.index(-1, 1))
         color[eid] = a
         at_u[a] = at_v[a] = eid
-    return EdgeColoring(dict(enumerate(color)))
+    return at, color
 
 
 def matching_covering_max_degree(g: Graph, bip: Bipartition) -> Matching:

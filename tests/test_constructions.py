@@ -20,7 +20,7 @@ from palette_index.constructions import (ROUTES, RouteFacts,
                                          color_grid_on, color_r_2r,
                                          color_via_doubling,
                                          grid_palette_value, recognize_grid)
-from palette_index.decompose import two_factorization
+from palette_index.decompose import factor_cycles, two_factorization
 from palette_index.graph import (Graph, GraphError, bipartition,
                                  biregular_profile, build_graph,
                                  gen_complete_bipartite,
@@ -116,12 +116,56 @@ def reference_even_pairs_colors(g):
     return colors
 
 
+def even_bipartite_multigraph(delta, rng):
+    """A random even bipartite multigraph of maximum degree at most delta,
+    without isolated vertices: closed walks x0 y0 x1 y1 .. x0 across two
+    sides, where the walk x y x is a pair of parallel edges."""
+    a, b = rng.randint(1, 6), rng.randint(1, 6)
+    deg = [0] * (a + b)
+    edges = []
+    for _ in range(rng.randint(1, 12)):
+        k = rng.randint(1, 4)
+        xs = [rng.randrange(a) for _ in range(k)]
+        ys = [a + rng.randrange(b) for _ in range(k)]
+        walk = [e for i in range(k) for e in ((xs[i], ys[i]), (ys[i], xs[i - 1]))]
+        ends = [v for e in walk for v in e]
+        if all(deg[v] + ends.count(v) <= delta for v in set(ends)):
+            edges += walk
+            for v in ends:
+                deg[v] += 1
+    present = sorted({v for e in edges for v in e})
+    new_id = dict(zip(present, rng.sample(range(len(present)), len(present))))
+    rng.shuffle(edges)
+    return build_graph(len(present), [(new_id[u], new_id[v]) for u, v in edges])
+
+
+def relabeled_union(copies, g, rng):
+    """`copies` disjoint copies of g with vertex ids permuted and edges
+    shuffled, so no component's vertices are consecutive."""
+    n = g.vertex_count
+    perm = rng.sample(range(copies * n), copies * n)
+    edges = [(perm[k * n + u], perm[k * n + v])
+             for k in range(copies) for u, v in g.edges]
+    rng.shuffle(edges)
+    return build_graph(copies * n, edges)
+
+
 @pytest.mark.parametrize("delta", [2, 4, 6, 8])
 def test_even_bipartite_cycles_match_the_hand_walk(delta):
-    for seed in range(25):
-        g = gen_random_even_bipartite(delta, seed)
+    rng = random.Random(delta)
+    graphs = [gen_random_even_bipartite(delta, seed) for seed in range(25)]
+    graphs += [even_bipartite_multigraph(delta, rng) for _ in range(40)]
+    graphs.append(relabeled_union(60, gen_complete_bipartite(2, delta), rng))
+    graphs.append(gen_random_biregular(2, delta, 800 // delta, 1))
+    padding, two_cycles = set(), 0
+    for k, g in enumerate(graphs):
         assert color_even_bipartite(g).coloring.color_of == \
-            reference_even_pairs_colors(g), (delta, seed)
+            reference_even_pairs_colors(g), (delta, k)
+        padding |= {(g.max_degree - d) // 2 for d in g.degrees}
+        two_cycles += sum(len(c) == 2 for cycles in factor_cycles(g) for c in cycles)
+    # vertices took every count of padding loops, and factors held 2-cycles
+    assert padding == set(range(delta // 2))
+    assert two_cycles > 0
 
 
 @pytest.mark.parametrize("a,b", [(2, 4), (2, 6), (4, 8)])

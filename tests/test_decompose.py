@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palette_index import decompose
 from palette_index.coloring import EdgeColoring, palette_summary, verify_proper
-from palette_index.decompose import (Matching, eulerian_circuit,
+from palette_index.decompose import (FactorSet, Matching, eulerian_circuit,
                                      konig_coloring,
                                      matching_covering_max_degree,
                                      maximum_matching, parity_split,
                                      peel_perfect_matchings,
                                      split_part_vertices, swap_kempe_chain,
                                      two_factorization)
-from palette_index.graph import (SIDE_X, SIDE_Y, Bipartition, GraphError,
-                                 bipartition, biregular_profile, build_graph,
-                                 components, edge_subgraph,
+from palette_index.graph import (SIDE_X, SIDE_Y, Bipartition, Graph,
+                                 GraphError, bipartition, biregular_profile,
+                                 build_graph, components,
                                  gen_complete_bipartite,
                                  gen_random_biregular, gen_random_even_bipartite)
 
@@ -43,8 +42,6 @@ def test_eulerian_circuit_k24_single_circuit():
 def test_eulerian_circuit_rejects_odd_degree():
     with pytest.raises(GraphError):
         eulerian_circuit(build_graph(3, [(0, 1), (1, 2)]))
-    with pytest.raises(GraphError):
-        eulerian_circuit(cycle(4), [0, 1])  # the given edges form a path
 
 
 @st.composite
@@ -91,37 +88,12 @@ def test_eulerian_circuit_matches_the_per_component_runs(g):
     assert eulerian_circuit(g) == circuits_by_components(g)
 
 
-@settings(deadline=None, max_examples=200)
-@given(even_multigraphs(), st.data())
-def test_eulerian_circuit_on_edge_ids_matches_the_edge_subgraph(g, data):
-    # g's edges shuffled among extra ones, which may leave host degrees odd
-    n = g.vertex_count
-    extra = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                               max_size=6))
-    tagged = data.draw(st.permutations([(e, True) for e in g.edges]
-                                       + [(e, False) for e in extra]))
-    host = build_graph(n, [e for e, _ in tagged], loop_allowed=True)
-    ids = [eid for eid, (_, keep) in enumerate(tagged) if keep]
-    sub, kept = edge_subgraph(host, ids)
-    assert eulerian_circuit(host, ids) == [[kept[eid] for eid in trail]
-                                           for trail in eulerian_circuit(sub)]
-
-
-def reference_eulerian_circuit(g, edge_ids=None):
+def reference_eulerian_circuit(g):
     """Hierholzer on the host graph with one stack of (vertex, edge used to
     arrive) tuples and `Graph.other_end`: `eulerian_circuit` as first
     written, kept to pin its trails."""
-    if edge_ids is None:
-        degrees = g.degrees
-        used = [False] * g.edge_count
-    else:
-        degrees = [0] * g.vertex_count
-        used = [True] * g.edge_count
-        for eid in edge_ids:
-            u, v = g.edges[eid]
-            degrees[u] += 1
-            degrees[v] += 1
-            used[eid] = False
+    degrees = g.degrees
+    used = [False] * g.edge_count
     assert all(d % 2 == 0 for d in degrees)
     ptr = [0] * g.vertex_count
     circuits = []
@@ -151,15 +123,12 @@ def reference_eulerian_circuit(g, edge_ids=None):
 @given(even_multigraphs(), st.data())
 def test_eulerian_circuit_matches_the_reference_walk(g, data):
     assert eulerian_circuit(g) == reference_eulerian_circuit(g)
-    # an even edge subset: g's edges among extra parallel pairs and loops
+    # g's edges shuffled among extra parallel pairs and loops
     n = g.vertex_count
     pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                max_size=4))
-    tagged = data.draw(st.permutations([(e, True) for e in g.edges]
-                                       + [(e, False) for e in pairs + pairs]))
-    host = build_graph(n, [e for e, _ in tagged], loop_allowed=True)
-    ids = [eid for eid, (_, keep) in enumerate(tagged) if keep]
-    assert eulerian_circuit(host, ids) == reference_eulerian_circuit(host, ids)
+    host = build_graph(n, data.draw(st.permutations(list(g.edges) + pairs + pairs)),
+                       loop_allowed=True)
     assert eulerian_circuit(host) == reference_eulerian_circuit(host)
 
 
@@ -248,6 +217,59 @@ def test_two_factorization_with_loops():
 def test_two_factorization_rejects_odd_regular():
     with pytest.raises(GraphError):
         two_factorization(gen_complete_bipartite(3, 3))
+
+
+def realization(g):
+    """The in/out bipartite graph of g's Euler orientation: arc a from tail t
+    to head h is the edge (t, n + h), in circuit order from each component's
+    smallest vertex; returned with its sides and each arc's edge id."""
+    n = g.vertex_count
+    arcs, arc_source = [], []
+    for circuit in eulerian_circuit(g):
+        tail = min(min(g.edges[eid]) for eid in circuit)
+        for eid in circuit:
+            head = g.other_end(eid, tail)
+            arcs.append((tail, n + head))
+            arc_source.append(eid)
+            tail = head
+    bip = Bipartition(tuple([SIDE_X] * n + [SIDE_Y] * n))
+    return Graph(2 * n, tuple(arcs)), bip, arc_source
+
+
+def reference_two_factorization(g):
+    """`two_factorization` as it was first written, kept to pin its factors:
+    Kőnig's color classes of the realization graph, peeled as perfect
+    matchings and pulled back to g's edge ids."""
+    r = g.max_degree // 2
+    h, bip, arc_source = realization(g)
+    return FactorSet(tuple(frozenset(arc_source[a] for a in cls)
+                           for cls in peel_perfect_matchings(h, bip, r)))
+
+
+@st.composite
+def regular_even_multigraphs(draw):
+    """2r-regular multigraphs, r = 1..4, on up to 12 vertices, edges shuffled:
+    the union of the graphs of r permutations (a fixed point is a loop, a
+    2-cycle a parallel pair), each permuting the same blocks of vertices, so
+    the graph has at least one component per block."""
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    blocks = [list(range(a, b)) for a, b in zip([0] + cuts, cuts + [n])]
+    edges = []
+    for _ in range(r):
+        for block in blocks:
+            edges += zip(block, draw(st.permutations(block)))
+    return build_graph(n, draw(st.permutations(edges)), loop_allowed=True)
+
+
+@settings(deadline=None, max_examples=300)
+@given(regular_even_multigraphs())
+def test_two_factorization_matches_the_reference(g):
+    factors = two_factorization(g)
+    assert factors == reference_two_factorization(g)
+    for factor in factors.factors:
+        assert all(d == 2 for d in _factor_degrees(g, factor))
 
 
 def test_maximum_matching_sizes():
@@ -405,22 +427,14 @@ def test_konig_coloring_matches_the_reference_walk(g_bip):
     assert konig_coloring(g, bfs) == reference_konig_coloring(g, bfs)
 
 
-def test_konig_coloring_matches_the_reference_on_a_realization_graph(monkeypatch):
-    # the 2-regular in/out graph that two_factorization colors for a
-    # 4-regular graph, where one alternating chain runs 550 edges long
+def test_konig_coloring_matches_the_reference_on_a_realization_graph():
+    # the 2-regular in/out graph of a 4-regular graph's Euler orientation,
+    # where one alternating chain runs 550 edges long
     g = gen_random_biregular(4, 4, 125, 1)
     assert g.edge_count == 2000
-    calls = []
-
-    def recording(h, bip):
-        calls.append((h, bip))
-        return konig_coloring(h, bip)
-
-    monkeypatch.setattr(decompose, "konig_coloring", recording)
-    two_factorization(g)
-    [(realization, bip)] = calls
-    assert realization.max_degree == 2 and realization.edge_count == 2000
-    assert konig_coloring(realization, bip) == reference_konig_coloring(realization, bip)
+    h, bip, _ = realization(g)
+    assert h.max_degree == 2 and h.edge_count == 2000
+    assert konig_coloring(h, bip) == reference_konig_coloring(h, bip)
 
 
 def test_konig_coloring_matches_the_reference_on_a_3_9_graph():
