@@ -13,10 +13,10 @@ from functools import cached_property
 from typing import Callable
 
 from .coloring import EdgeColoring, palette_summary
-from .decompose import (Matching, factor_cycles, konig_coloring,
-                        matching_covering_max_degree, maximum_matching,
-                        parity_split, peel_perfect_matchings,
-                        split_part_vertices)
+from .decompose import (Matching, cyclic_interval_coloring, factor_cycles,
+                        konig_coloring, matching_covering_max_degree,
+                        maximum_matching, parity_split,
+                        peel_perfect_matchings, split_part_vertices)
 from .graph import (SIDE_X, SIDE_Y, Bipartition, BiregularProfile, Graph,
                     GraphError, bipartition, biregular_profile, edge_subgraph,
                     even_closure, gen_complete_bipartite, gen_grid,
@@ -406,68 +406,13 @@ def _color_3_5(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
 
 
 def color_2_odd(g: Graph) -> ConstructionResult:
-    """Color a (2,2r+1)-biregular graph within 2r+2 palettes when a
-    backtracking search of at most `_INTERVAL_NODES` nodes finds a coloring
-    with 2r+2 colors in which every vertex's colors form a consecutive
-    block; all colors are then reduced modulo 2r+1 into 1..2r+1."""
+    """Color a (2,2r+1)-biregular graph within 2r+2 palettes, one full and
+    2r+1 pairs, when `cyclic_interval_coloring` finds its coloring."""
     return _build_row("two-odd-family", g)
 
 
 def _color_2_odd(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
-    colors = {eid: 1 + (c - 1) % f.prof.b for eid, c in f.interval.items()}
-    return _finish(g, colors, bound, "two-odd-cyclic")
-
-
-_INTERVAL_NODES = 5 * 10 ** 4  # the two-odd row's search budget
-
-
-def _interval_coloring_search(g: Graph, prof: BiregularProfile, t: int,
-                              budget: int) -> dict[int, int] | None:
-    """Backtracking search for a proper t-coloring where each vertex's colors
-    form a consecutive block; edges are processed grouped by big-side vertex
-    so the block constraints propagate early.  None when the search space or
-    the node budget runs out first."""
-    order: list[int] = []
-    for y in prof.y_vertices:
-        order.extend(g.incidence[y])
-    assert len(order) == g.edge_count
-    deg = g.degrees
-    used = [0] * g.vertex_count  # bitmask of colors present at each vertex
-    lo = [t + 1] * g.vertex_count
-    hi = [0] * g.vertex_count
-    color = [0] * len(order)  # color placed at each depth, 0 for none
-    saved: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)] * len(order)
-    nodes = 0
-    idx = 0
-    while 0 <= idx < len(order):
-        u, v = g.edges[order[idx]]
-        c = color[idx]
-        if c:  # back at this depth: take its color off before trying the next
-            used[u] &= ~(1 << c)
-            used[v] &= ~(1 << c)
-            lo[u], hi[u], lo[v], hi[v] = saved[idx]
-        for c in range(c + 1, t + 1):
-            bit = 1 << c
-            if (used[u] | used[v]) & bit:
-                continue
-            if not (max(hi[u], c) - min(lo[u], c) < deg[u]
-                    and max(hi[v], c) - min(lo[v], c) < deg[v]):
-                continue
-            nodes += 1
-            if nodes > budget:
-                return None
-            saved[idx] = (lo[u], hi[u], lo[v], hi[v])
-            used[u] |= bit
-            used[v] |= bit
-            lo[u], hi[u] = min(lo[u], c), max(hi[u], c)
-            lo[v], hi[v] = min(lo[v], c), max(hi[v], c)
-            color[idx] = c
-            idx += 1
-            break
-        else:
-            color[idx] = 0
-            idx -= 1
-    return None if idx < 0 else dict(zip(order, color))
+    return _finish(g, dict(enumerate(f.cyclic)), bound, "two-odd-cyclic")
 
 
 def _star_coloring(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
@@ -563,10 +508,8 @@ class RouteFacts:
         return maximum_matching(self.g, self.bip)
 
     @cached_property
-    def interval(self) -> dict[int, int] | None:  # needs a (2,2r+1) profile
-        """A block-interval (b+1)-coloring, or None if the search finds none."""
-        return _interval_coloring_search(self.g, self.prof, self.prof.b + 1,
-                                         _INTERVAL_NODES)
+    def cyclic(self) -> list[int] | None:  # needs a (2,2r+1) profile
+        return cyclic_interval_coloring(self.g, self.bip)
 
 
 @dataclass(frozen=True)
@@ -611,10 +554,10 @@ ROUTES: tuple[Route, ...] = (
                       if b % 2 == 0 and a in (2, b - 2) and a < b else None),
           lambda g, f, bound: color_even_bipartite(g)),
     Route("two-odd-family",
-          "(2,2r+1)-biregular with a block-interval (2r+2)-coloring found "
-          "within the search budget",
+          "(2,2r+1)-biregular with a cyclic-interval (2r+1)-coloring found "
+          "within the repair budget",
           lambda f: (f.prof.b + 1 if f.prof is not None and f.prof.a == 2
-                     and f.prof.b % 2 == 1 and f.interval is not None else None),
+                     and f.prof.b % 2 == 1 and f.cyclic is not None else None),
           _color_2_odd),
     Route("deg3-family", "(3,3r)- or (3r-3,3r)-biregular, r >= 2",
           _on_profile(lambda a, b: (b // 3) ** 2 + 1

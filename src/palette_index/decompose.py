@@ -8,7 +8,7 @@ bipartite graphs are read from its color classes; a true maximum matching
 (Hopcroft-Karp) is computed only where one is asked for.  Its alternating
 paths are swapped by `swap_kempe_chain`, one walk that exchanges two colors
 in place over an `at[v][c] -> edge` table; Vizing's fan recoloring in
-`exact` swaps its paths with the same walk.
+`exact` and `cyclic_interval_coloring` swap their chains with the same walk.
 
 2-factors come from one such table: Kőnig's loop colors the arcs of an
 Euler orientation of the graph padded with loops, so that every vertex has
@@ -17,12 +17,13 @@ factors off that table, and `factor_cycles` walks each factor's cycles
 along it.
 
 Everything here is deterministic: trails start at the smallest vertex id,
-and edges are colored, and scanned for augmenting paths, in ascending
-edge-id order.
+edges are colored, and scanned for augmenting paths, in ascending edge-id
+order, and the repair's rng is seeded with the edge count.
 """
 
 from __future__ import annotations
 
+import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -188,7 +189,7 @@ def _two_factor_table(g: Graph, r: int
             arcs.append((tail, n + head))
             source.append(eid)
             tail = head
-    at, _ = _konig_table(2 * n, r, arcs, [SIDE_X] * n + [SIDE_Y] * n)
+    at, _, _ = _konig_table(2 * n, r, arcs, [SIDE_X] * n + [SIDE_Y] * n)
     assert all(row.count(-1) == 1 for row in at), \
         "a vertex misses an out-arc or an in-arc of some color"
     return at, arcs, source
@@ -264,9 +265,9 @@ def peel_perfect_matchings(g: Graph, bip: Bipartition,
 
 
 def swap_kempe_chain(at: list[list[int]], color: list[int], ends: list[int],
-                     v: int, a: int, b: int) -> None:
+                     v: int, a: int, b: int) -> int:
     """Swap colors a and b, in place, along the a/b Kempe chain from v,
-    which must miss b.
+    which must miss b, and return the chain's far end.
 
     `at[w][c]` is the edge of color c at w (-1 if none), `color[e]` the color
     of edge e, and `ends[e]` the xor of its two ends.  The chain from a vertex
@@ -283,6 +284,7 @@ def swap_kempe_chain(at: list[list[int]], color: list[int], ends: list[int],
         w ^= ends[e]  # the other end
         row = at[w]
     row[a], row[b] = row[b], row[a]
+    return w
 
 
 def konig_coloring(g: Graph, bip: Bipartition) -> EdgeColoring:
@@ -297,15 +299,15 @@ def konig_coloring(g: Graph, bip: Bipartition) -> EdgeColoring:
     enters u's side only by a-edges, and u has none, so it never reaches u.
     No padding to a regular graph is needed.
     """
-    _, color = _konig_table(g.vertex_count, g.max_degree, g.edges, bip.side_of)
+    _, color, _ = _konig_table(g.vertex_count, g.max_degree, g.edges, bip.side_of)
     return EdgeColoring(dict(enumerate(color)))
 
 
 def _konig_table(vertex_count: int, delta: int,
                  edges: Sequence[tuple[int, int]], side_of: Sequence[int]
-                 ) -> tuple[list[list[int]], list[int]]:
-    """`konig_coloring` over plain lists: returns its table, `at[v][c]` the
-    edge of color c at v (-1 if none, slot 0 unused), and `color[e]`."""
+                 ) -> tuple[list[list[int]], list[int], list[int]]:
+    """`konig_coloring` over plain lists: its table `at[v][c]`, the edge of
+    color c at v (-1 if none, slot 0 unused), `color[e]` and `ends[e]`."""
     at = [[-1] * (delta + 1) for _ in range(vertex_count)]
     color = [0] * len(edges)
     ends = [x ^ y for x, y in edges]
@@ -318,7 +320,62 @@ def _konig_table(vertex_count: int, delta: int,
             swap_kempe_chain(at, color, ends, v, a, at_v.index(-1, 1))
         color[eid] = a
         at_u[a] = at_v[a] = eid
-    return at, color
+    return at, color, ends
+
+
+_REPAIR_STEPS_PER_EDGE = 5  # the budget of `cyclic_interval_coloring`
+
+
+def cyclic_interval_coloring(g: Graph, bip: Bipartition) -> list[int] | None:
+    """Colors 1..b, per edge id, of a (2,b)-biregular graph with side X of
+    degree 2, where each degree-2 vertex's colors are adjacent mod b; None
+    if `_REPAIR_STEPS_PER_EDGE` steps per edge do not get there.
+
+    From Kőnig's b-coloring, each step swaps, at a random costly vertex x,
+    the Kempe chain from x that most lowers the count of costly vertices
+    (random among equals, or with probability 0.1 any chain); only x and
+    the chain's far end change palette.
+    """
+    b = g.max_degree
+    at, color, ends = _konig_table(g.vertex_count, b, g.edges, bip.side_of)
+    inc = g.incidence
+    costly: list[int] = []  # the costly vertices, v at index pos[v]
+    pos = [-1] * g.vertex_count
+
+    def is_costly(v: int) -> bool:
+        return (color[inc[v][0]] - color[inc[v][1]]) % b not in (1, b - 1)
+
+    def update(v: int) -> None:
+        if is_costly(v) and pos[v] < 0:
+            pos[v] = len(costly)
+            costly.append(v)
+        elif not is_costly(v) and pos[v] >= 0:  # v's slot takes the last one
+            last = costly[pos[v]] = costly[-1]
+            pos[last], pos[v] = pos[v], -1
+            costly.pop()
+
+    def change(x: int, a: int, c: int) -> int:  # swaps the chain, and back
+        w = swap_kempe_chain(at, color, ends, x, a, c)
+        delta = is_costly(x) + is_costly(w) - 1 - (pos[w] >= 0)
+        swap_kempe_chain(at, color, ends, x, c, a)
+        return delta
+
+    for v in bip.x_vertices():
+        update(v)
+    rng = random.Random(g.edge_count)
+    for _ in range(_REPAIR_STEPS_PER_EDGE * g.edge_count):
+        if not costly:
+            break
+        x = costly[rng.randrange(len(costly))]
+        pair = (color[inc[x][0]], color[inc[x][1]])
+        moves = [(a, c) for a in pair for c in range(1, b + 1) if c not in pair]
+        if rng.random() < 0.1:
+            a, c = moves[rng.randrange(len(moves))]
+        else:  # the best move, ties broken at random
+            a, c = min(moves, key=lambda m: (change(x, *m), rng.random()))
+        update(swap_kempe_chain(at, color, ends, x, a, c))
+        update(x)
+    return None if costly else color
 
 
 def matching_covering_max_degree(g: Graph, bip: Bipartition) -> Matching:

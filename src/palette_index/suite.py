@@ -17,7 +17,6 @@ from typing import Callable
 
 from .analysis import (classify_full_palette, decide_palette_two,
                        palette_lower_bound)
-from .coloring import palette_summary
 from .constructions import (color_biregular_auto, color_complete_bipartite,
                             color_even_bipartite, color_grid,
                             grid_palette_value)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palette_index import constructions
+from palette_index import decompose
 from palette_index.cli import cli_main
 from palette_index.fileformat import (FormatError, parse_coloring, parse_graph,
                                       serialize_graph)
@@ -71,7 +71,7 @@ def test_color_stdout_stream_reparses(capsys, tmp_path):
 
 
 def test_color_two_odd_on_many_components_keeps_the_recursion_limit(capsys, tmp_path):
-    # 2,400 edges: the interval search goes as deep as the edge count
+    # 2,400 edges in 400 components, colored by one repair of one table
     k23 = gen_complete_bipartite(2, 3)
     g = build_graph(2000, [(5 * i + u, 5 * i + v) for i in range(400)
                            for u, v in k23.edges])
@@ -143,7 +143,7 @@ def test_verify_names_an_uncolored_edge_as_the_file_does(capsys, tmp_path):
 
 def test_color_falls_through_when_the_interval_search_runs_out(
         capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(constructions, "_INTERVAL_NODES", 1)
+    monkeypatch.setattr(decompose, "_REPAIR_STEPS_PER_EDGE", 0)
     gpath = write_graph(tmp_path, gen_random_biregular(2, 5, 2, 1))
     code, out, err = run_cli(capsys, "color", gpath, "--output",
                              str(tmp_path / "c.txt"))
@@ -152,7 +152,7 @@ def test_color_falls_through_when_the_interval_search_runs_out(
 
 def test_bounds_drops_the_interval_row_when_its_search_runs_out(
         capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(constructions, "_INTERVAL_NODES", 1)
+    monkeypatch.setattr(decompose, "_REPAIR_STEPS_PER_EDGE", 0)
     gpath = write_graph(tmp_path, gen_random_biregular(2, 5, 2, 1))
     code, out, err = run_cli(capsys, "bounds", gpath)
     assert code == 0
@@ -161,14 +161,14 @@ def test_bounds_drops_the_interval_row_when_its_search_runs_out(
     assert out.split("upper ", 1)[1].startswith("9 doubling\n")
 
 
-# 50 edges on which no block-interval 6-coloring turns up within the row's
-# search budget: the row declines and doubling, the next best, colors it
-TWO_ODD_DECLINES = ("gen", "--family", "biregular", "--a", "2", "--b", "5",
-                    "--scale", "5", "--seed", "1")
+# 50 edges on which a block-interval search of 5*10**4 nodes finds no
+# coloring; the cyclic-interval repair finds one in 8 steps
+TWO_ODD_REPRO = ("gen", "--family", "biregular", "--a", "2", "--b", "5",
+                 "--scale", "5", "--seed", "1")
 
 
-def test_color_on_a_graph_the_interval_row_declines(capsys, tmp_path):
-    code, text, _ = run_cli(capsys, *TWO_ODD_DECLINES)
+def test_color_on_a_graph_the_interval_row_repairs(capsys, tmp_path):
+    code, text, _ = run_cli(capsys, *TWO_ODD_REPRO)
     assert code == 0
     gpath = tmp_path / "g.txt"
     gpath.write_text(text)
@@ -176,12 +176,12 @@ def test_color_on_a_graph_the_interval_row_declines(capsys, tmp_path):
     code, out, err = run_cli(capsys, "color", str(gpath), "--output",
                              str(tmp_path / "c.txt"))
     assert time.perf_counter() - start < 10
-    assert (code, out, err) == (0, "palettes=9 bound=9 theorem=doubling\n", "")
+    assert (code, out, err) == (0, "palettes=6 bound=6 theorem=two-odd-cyclic\n", "")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "bounds", str(gpath))
     assert time.perf_counter() - start < 10
     assert code == 0 and err == ""
-    assert "two-odd-family" not in out and "upper 9 doubling\n" in out
+    assert out.split("upper ", 1)[1].startswith("6 two-odd-family\n")
 
 
 def test_exact_refuses_a_nan_wall_budget(capsys, tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import re
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from palette_index import decompose
 from palette_index.coloring import palette_summary
-from palette_index.constructions import (ROUTES, RouteFacts,
-                                         _interval_coloring_search,
-                                         color_2_odd, color_3_3r, color_3_5,
-                                         color_4_4r, color_5_5r, color_auto,
+from palette_index.constructions import (ROUTES, RouteFacts, color_2_odd,
+                                         color_3_3r, color_3_5, color_4_4r,
+                                         color_5_5r, color_auto,
                                          color_biregular_auto,
                                          color_complete_bipartite,
                                          color_complete_bipartite_on, color_deg5,
@@ -21,8 +22,9 @@ from palette_index.constructions import (ROUTES, RouteFacts,
                                          color_via_doubling,
                                          grid_palette_value, recognize_grid)
 from palette_index.decompose import factor_cycles, two_factorization
+from palette_index.exact import palette_index_exact
 from palette_index.graph import (Graph, GraphError, bipartition,
-                                 biregular_profile, build_graph,
+                                 build_graph,
                                  gen_complete_bipartite,
                                  gen_grid, gen_random_biregular,
                                  gen_random_even_bipartite)
@@ -491,29 +493,62 @@ def test_2_odd_k25():
 
 @pytest.mark.parametrize("b", [7, 9])
 def test_2_odd_wider_profiles(b):
-    result = color_2_odd(gen_random_biregular(2, b, 2, 3))
-    assert result.palettes <= b + 1
+    shuffled = relabeled_union(4, gen_random_biregular(2, b, 3, 1), random.Random(b))
+    for g in (gen_random_biregular(2, b, 2, 3), shuffled):
+        assert color_2_odd(g).palettes <= b + 1
 
 
-def test_interval_search_returns_none_when_its_budget_runs_out():
-    g = gen_random_biregular(2, 5, 2, 1)
-    prof = biregular_profile(g)
-    assert _interval_coloring_search(g, prof, 6, budget=10 ** 4) is not None
-    assert _interval_coloring_search(g, prof, 6, budget=1) is None
+# 50 edges on which a block-interval search of 5*10**4 nodes finds no
+# coloring; the repair takes 8 steps
+TWO_ODD_REPRO = gen_random_biregular(2, 5, 5, 1)
 
 
-def test_interval_search_returns_none_when_its_search_space_runs_out():
-    # a degree-5 vertex cannot hold a block of 5 colors out of 4
-    g = gen_complete_bipartite(2, 5)
-    assert _interval_coloring_search(g, biregular_profile(g), 4, budget=10 ** 6) is None
+def test_2_odd_colors_the_graph_the_block_search_declined():
+    result = color_2_odd(TWO_ODD_REPRO)
+    assert (result.palettes, result.claimed_palette_bound, result.theorem_tag) \
+        == (6, 6, "two-odd-cyclic")
+    assert color_auto(TWO_ODD_REPRO).theorem_tag == "two-odd-cyclic"
 
 
-def test_2_odd_declines_where_its_search_finds_no_coloring():
-    g = gen_random_biregular(2, 5, 5, 1)
+def test_2_odd_declines_where_its_search_finds_no_coloring(monkeypatch):
+    # with no steps the repair cannot mend the Kőnig start
+    monkeypatch.setattr(decompose, "_REPAIR_STEPS_PER_EDGE", 0)
     note = next(r.note for r in ROUTES if r.tag == "two-odd-family")
     with pytest.raises(GraphError, match=re.escape(f"graph is not {note}")):
+        color_2_odd(TWO_ODD_REPRO)
+    assert color_auto(TWO_ODD_REPRO).theorem_tag == "doubling"
+
+
+# small (2,odd) graphs whose palette index the exact solver proves in
+# well under a second
+SMALL_TWO_ODD = [gen_random_biregular(2, b, scale, seed)
+                 for b, scale, seeds in ((3, 1, 1), (3, 2, 2), (3, 3, 2),
+                                         (5, 1, 1), (5, 2, 3), (7, 1, 1))
+                 for seed in range(seeds)]
+
+
+@pytest.mark.parametrize("g", SMALL_TWO_ODD)
+def test_2_odd_lies_between_the_exact_value_and_b_plus_1(g):
+    b = g.max_degree
+    exact = palette_index_exact(g)
+    assert exact.proved
+    rng = random.Random(g.edge_count)
+    for h in (g, relabeled_union(1, g, rng), relabeled_union(3, g, rng)):
+        assert exact.value <= color_2_odd(h).palettes <= b + 1
+
+
+def test_2_odd_colors_are_pinned_across_python_versions(monkeypatch):
+    # the repair takes 165 random steps on these 130 edges, more than a
+    # budget of one step per edge allows, so a change in the rng's stream
+    # moves the digest
+    g = gen_random_biregular(2, 13, 5, 2)
+    colors = color_2_odd(g).coloring.color_of
+    text = " ".join(str(colors[eid]) for eid in range(g.edge_count))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cdc37930fdd97121800395be3736f61b5a5fb8af12dca998742740a09a509f43")
+    monkeypatch.setattr(decompose, "_REPAIR_STEPS_PER_EDGE", 1)
+    with pytest.raises(GraphError):
         color_2_odd(g)
-    assert color_auto(g).theorem_tag == "doubling"
 
 
 def test_deg5_rejects_isolated():

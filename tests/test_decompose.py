@@ -460,7 +460,7 @@ def test_swap_kempe_chain_swaps_a_hand_built_chain_in_place(length):
     color = [1 if i % 2 == 0 else 3 for i in range(length)] + [2] * n
     at = edge_table(g, color, 3)
     ends = [x ^ y for x, y in g.edges]
-    swap_kempe_chain(at, color, ends, 0, 1, 3)
+    assert swap_kempe_chain(at, color, ends, 0, 1, 3) == length  # the far end
     assert color == [3 if i % 2 == 0 else 1 for i in range(length)] + [2] * n
     assert at == edge_table(g, color, 3)  # every slot, so no stale entry
     for eid, (x, y) in enumerate(g.edges):

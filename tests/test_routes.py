@@ -266,14 +266,15 @@ def test_a_grid_is_recognized_once(monkeypatch, entry):
 
 @pytest.mark.parametrize("entry", [color_auto, upper_bound_catalog])
 def test_the_interval_search_runs_once(monkeypatch, entry):
+    # the row's cyclic-interval repair, in its bound and in its build
     calls = []
-    real = constructions._interval_coloring_search
+    real = constructions.cyclic_interval_coloring
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(constructions, "_interval_coloring_search", counted)
+    monkeypatch.setattr(constructions, "cyclic_interval_coloring", counted)
     g = gen_random_biregular(2, 5, 2, 1)
     entry(g)
     assert len(calls) == 1
