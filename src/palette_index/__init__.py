@@ -23,8 +23,7 @@ from .decompose import (FactorSet, Matching, eulerian_circuit, konig_coloring,
                         matching_covering_max_degree, maximum_matching,
                         parity_split, split_part_vertices, two_factorization)
 from .exact import (BudgetExhausted, PaletteIndexResult, SearchLimits,
-                    chromatic_index_exact, palette_index_exact,
-                    palette_index_naive, vizing_coloring)
+                    palette_index_exact, palette_index_naive)
 from .fileformat import (FormatError, parse_coloring, parse_graph,
                          serialize_coloring, serialize_graph)
 from .graph import (Bipartition, BiregularProfile, Component, Graph, GraphError,

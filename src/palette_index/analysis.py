@@ -37,7 +37,7 @@ class BoundReport:
     entries: list[BoundEntry]
 
 
-def _lower_entries(facts: RouteFacts, chi_prime: int | None) -> list[BoundEntry]:
+def _lower_entries(facts: RouteFacts) -> list[BoundEntry]:
     g = facts.g
     entries = [BoundEntry(len(g.degree_set()), "lower", "degree-count",
                           "palettes of different sizes are distinct")]
@@ -52,25 +52,21 @@ def _lower_entries(facts: RouteFacts, chi_prime: int | None) -> list[BoundEntry]
         if prof.a == 2 and prof.b % 2 == 1:
             entries.append(BoundEntry(prof.b // 2 + 2, "lower", "two-odd",
                                       f"(2,{prof.b})-biregular"))
-    if chi_prime is not None and len(g.degree_set()) == 1:
-        if chi_prime == g.max_degree:
-            entries.append(BoundEntry(1, "lower", "regular-class1", "regular, class 1"))
-        else:
-            entries.append(BoundEntry(3, "lower", "regular-class2",
-                                      "regular class 2 graphs need 3 palettes"))
     if facts.dims is not None:
         entries.append(BoundEntry(grid_palette_value(*facts.dims), "lower", "grid",
                                   f"grid {facts.dims[0]}x{facts.dims[1]}, exact value"))
     return entries
 
 
-def palette_lower_bound(g: Graph, chi_prime: int | None = None) -> tuple[int, str]:
-    """Largest applicable lower bound on the palette index, with its tag."""
+def palette_lower_bound(g: Graph) -> tuple[int, str]:
+    """Largest applicable lower bound on the palette index, with its tag:
+    the degree count, the biregular, (3,5) and (2,odd) rules, or a grid's
+    exact value.  These are the lower entries of `upper_bound_catalog`."""
     if g.has_isolated_vertices():
         raise GraphError("isolated vertices are not allowed here")
     if g.vertex_count == 0:
         return (0, "empty")
-    best = max(_lower_entries(RouteFacts(g), chi_prime), key=lambda e: e.value)
+    best = max(_lower_entries(RouteFacts(g)), key=lambda e: e.value)
     return (best.value, best.tag)
 
 
@@ -85,7 +81,7 @@ def upper_bound_catalog(g: Graph) -> BoundReport:
                            [BoundEntry(0, "lower", "empty", "no edges"),
                             BoundEntry(0, "upper", "empty", "no edges")])
     facts = RouteFacts(g)
-    entries = _lower_entries(facts, None)
+    entries = _lower_entries(facts)
     lower = max(entries, key=lambda e: e.value)
     delta = g.max_degree
     stated = [(2 ** (delta + 1) - 2, "power-general", "any graph, from a maxdeg+1 coloring")]

@@ -24,9 +24,6 @@ class EdgeColoring:
     def colors_used(self) -> int:
         return len(set(self.color_of.values()))
 
-    def max_color(self) -> int:
-        return max(self.color_of.values(), default=0)
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -7,8 +7,8 @@ alternating-path max-degree edge coloring.  Perfect matchings of regular
 bipartite graphs are read from its color classes; a true maximum matching
 (Hopcroft-Karp) is computed only where one is asked for.  Its alternating
 paths are swapped by `swap_kempe_chain`, one walk that exchanges two colors
-in place over an `at[v][c] -> edge` table; Vizing's fan recoloring in
-`exact` and `cyclic_interval_coloring` swap their chains with the same walk.
+in place over an `at[v][c] -> edge` table; `cyclic_interval_coloring`
+swaps its chains with the same walk.
 
 2-factors come from one such table: Kőnig's loop colors the arcs of an
 Euler orientation of the graph padded with loops, so that every vertex has
@@ -177,7 +177,7 @@ def _two_factor_table(g: Graph, r: int
     """
     n = g.vertex_count
     loops = [(v, v) for v, d in enumerate(g.degrees) for _ in range(r - d // 2)]
-    star = Graph(n, g.edges + tuple(loops), loop_allowed=True) if loops else g
+    star = Graph(n, g.edges + tuple(loops)) if loops else g
     edges = star.edges
     arcs: list[tuple[int, int]] = []
     source: list[int] = []

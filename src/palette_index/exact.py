@@ -1,5 +1,5 @@
-"""Desk-scale exact solvers: minimum distinct-palette count over all proper
-edge colorings, exact chromatic index, and a constructive maxdeg+1 coloring.
+"""Desk-scale exact solver: the minimum distinct-palette count over all
+proper edge colorings, and the unpruned enumeration it is checked against.
 
 The palette solver enumerates set partitions of the edge set into matchings
 in restricted-growth (first-use) order, which quotients out color
@@ -9,12 +9,10 @@ permutations; palettes are compared as sets of block indices.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring, palette_summary
-from .decompose import konig_coloring, swap_kempe_chain
-from .graph import Graph, GraphError, bipartition
+from .graph import Graph, GraphError
 
 
 class BudgetExhausted(RuntimeError):
@@ -340,147 +338,3 @@ def palette_index_naive(g: Graph) -> int:
         assign[idx] = b
         idx += 1
     return best
-
-
-def chromatic_index_exact(g: Graph, limits: SearchLimits | None = None) -> int:
-    """Exact minimum number of colors of a proper edge coloring.
-
-    Bipartite graphs take the constructive shortcut; otherwise a
-    symmetry-broken backtracking tries the maximum degree and, failing
-    that, climbs until a coloring exists (at most maxdeg+1 for simple
-    graphs, maxdeg+multiplicity in general).
-    """
-    limits = limits or SearchLimits()
-    if any(u == v for u, v in g.edges):
-        raise GraphError("loops cannot be properly edge-colored")
-    if g.edge_count == 0:
-        return 0
-    delta = g.max_degree
-    bip = bipartition(g)
-    if bip is not None:
-        coloring = konig_coloring(g, bip)
-        assert coloring.colors_used() == delta
-        return delta
-    if _edge_colorable(g, delta, limits):
-        return delta
-    if g.is_simple():
-        return delta + 1
-    mu = _max_multiplicity(g)
-    for k in range(delta + 1, delta + mu + 1):
-        if _edge_colorable(g, k, limits):
-            return k
-    raise AssertionError("unreachable: multigraph needs at most maxdeg+multiplicity")
-
-
-def _max_multiplicity(g: Graph) -> int:
-    counts = Counter(tuple(sorted(e)) for e in g.edges)
-    return max(counts.values(), default=0)
-
-
-def _edge_colorable(g: Graph, k: int, limits: SearchLimits) -> bool:
-    """Backtracking test for a proper k-edge-coloring; the color of each edge
-    may exceed the colors used so far by at most one (symmetry breaking)."""
-    m = g.edge_count
-    degs = g.degrees
-    order = sorted(range(m), key=lambda e: (-(degs[g.edges[e][0]] + degs[g.edges[e][1]]), e))
-    ends = [g.edges[e] for e in order]
-    used = [0] * g.vertex_count
-    nodes = 0
-    max_nodes = limits.max_nodes
-    deadline = (time.monotonic() + limits.max_seconds
-                if limits.max_seconds is not None else None)
-    color = [0] * m  # color of the edge at each depth, 0 before its first try
-    high = [0] * (m + 1)  # highest color used by the edges before each depth
-    idx = 0
-    while 0 <= idx < m:
-        u, v = ends[idx]
-        c = color[idx]
-        if c:  # back at this depth: take its color off before trying the next
-            used[u] &= ~(1 << c)
-            used[v] &= ~(1 << c)
-        else:
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise BudgetExhausted(f"edge coloring search exceeded {max_nodes} nodes")
-            if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-                raise BudgetExhausted("edge coloring search hit the wall budget")
-        for c in range(c + 1, min(k, high[idx] + 1) + 1):
-            bit = 1 << c
-            if (used[u] | used[v]) & bit:
-                continue
-            used[u] |= bit
-            used[v] |= bit
-            color[idx] = c
-            high[idx + 1] = max(high[idx], c)
-            idx += 1
-            break
-        else:
-            color[idx] = 0
-            idx -= 1
-    return idx == m
-
-
-def vizing_coloring(g: Graph) -> EdgeColoring:
-    """Proper coloring of a simple graph with at most maxdeg+1 colors by fan
-    rotation and alternating-path recoloring; deterministic in edge order.
-
-    The tables are `konig_coloring`'s: `at[v][c]` is the edge of color c at
-    v (-1 if none), `color[e]` is 0 while e is uncolored, and each path is
-    inverted in place by `swap_kempe_chain`."""
-    if not g.is_simple():
-        raise GraphError("fan recoloring requires a simple graph")
-    k = g.max_degree + 1
-    color = [0] * g.edge_count
-    at = [[-1] * (k + 1) for _ in range(g.vertex_count)]
-    ends = [x ^ y for x, y in g.edges]
-
-    def free(v: int) -> int:
-        return at[v].index(-1, 1)  # a vertex of degree < k always has one
-
-    def set_color(eid: int, c: int) -> None:
-        u, v = g.edges[eid]
-        assert at[u][c] < 0 and at[v][c] < 0
-        color[eid] = c
-        at[u][c] = at[v][c] = eid
-
-    def unset_color(eid: int) -> int:
-        c = color[eid]
-        color[eid] = 0
-        u, v = g.edges[eid]
-        at[u][c] = at[v][c] = -1
-        return c
-
-    for e0 in range(g.edge_count):
-        x, f = g.edges[e0]
-        fan = [f]
-        fan_edges = [e0]
-        in_fan = {f}
-        while True:
-            beta = free(fan[-1])
-            nxt = at[x][beta]
-            if nxt < 0:
-                break
-            w = g.other_end(nxt, x)
-            if w in in_fan:
-                break
-            fan.append(w)
-            fan_edges.append(nxt)
-            in_fan.add(w)
-        c = free(x)
-        d = free(fan[-1])
-        if at[x][d] >= 0:
-            swap_kempe_chain(at, color, ends, x, d, c)
-        # rotate the longest prefix that is still a fan and ends where d is free
-        j = None
-        for idx in range(len(fan)):
-            if idx > 0 and at[fan[idx - 1]][color[fan_edges[idx]]] >= 0:
-                break
-            if at[fan[idx]][d] < 0:
-                j = idx
-        assert j is not None, "fan recoloring failed to free a color"
-        for i in range(j):
-            moved = unset_color(fan_edges[i + 1])
-            set_color(fan_edges[i], moved)
-        set_color(fan_edges[j], d)
-
-    return EdgeColoring(dict(enumerate(color)))

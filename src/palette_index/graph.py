@@ -3,8 +3,8 @@
 Vertices are dense integers ``0..vertex_count-1``.  Edges are an ordered
 tuple of endpoint pairs; the position of a pair in that tuple is the edge's
 stable id for the lifetime of the value.  The container is a multigraph:
-parallel edges are always representable, loops only when the graph was
-built with ``loop_allowed=True``.
+parallel edges are always representable; ``build_graph`` accepts loops
+only when called with ``loop_allowed=True``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class GraphError(ValueError):
 class Graph:
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    loop_allowed: bool = False
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -135,7 +134,7 @@ def build_graph(
             raise GraphError(f"edge {eid} endpoint out of range: ({u}, {v})")
         if u == v and not loop_allowed:
             raise GraphError(f"edge {eid} is a loop at {u} but loops are not allowed")
-    return Graph(vertex_count, tuple((u, v) for u, v in edges), loop_allowed)
+    return Graph(vertex_count, tuple((u, v) for u, v in edges))
 
 
 def bipartition(g: Graph) -> Bipartition | None:
@@ -327,7 +326,7 @@ def components(g: Graph) -> list[Component]:
         local_edges = tuple((local[g.edges[eid][0]], local[g.edges[eid][1]])
                             for eid in edge_ids)
         result.append(Component(
-            Graph(len(verts), local_edges, g.loop_allowed),
+            Graph(len(verts), local_edges),
             tuple(verts), tuple(edge_ids)))
     return result
 
@@ -339,7 +338,7 @@ def edge_subgraph(g: Graph, edge_ids) -> tuple[Graph, tuple[int, ...]]:
     """
     kept = tuple(sorted(edge_ids))
     edges = tuple(g.edges[eid] for eid in kept)
-    return Graph(g.vertex_count, edges, g.loop_allowed), kept
+    return Graph(g.vertex_count, edges), kept
 
 
 def without_isolated(g: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -347,7 +346,7 @@ def without_isolated(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     keep = sorted({v for edge in g.edges for v in edge})  # no list over all vertices
     local = {host: i for i, host in enumerate(keep)}
     edges = tuple((local[u], local[v]) for u, v in g.edges)
-    return Graph(len(keep), edges, g.loop_allowed), tuple(keep)
+    return Graph(len(keep), edges), tuple(keep)
 
 
 def gen_random_even_bipartite(max_degree: int, seed: int) -> Graph:

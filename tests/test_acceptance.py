@@ -15,13 +15,12 @@ import pytest
 
 from palette_index.analysis import (classify_full_palette, decide_palette_two,
                                     palette_lower_bound)
-from palette_index.coloring import palette_summary, verify_proper
+from palette_index.coloring import EdgeColoring, palette_summary, verify_proper
 from palette_index.constructions import (color_biregular_auto,
                                          color_complete_bipartite,
                                          color_even_bipartite, color_grid,
                                          grid_palette_value)
-from palette_index.exact import (chromatic_index_exact, palette_index_exact,
-                                 palette_index_naive)
+from palette_index.exact import palette_index_exact, palette_index_naive
 from palette_index.graph import (build_graph, edge_subgraph,
                                  gen_complete_bipartite, gen_grid,
                                  gen_random_biregular,
@@ -156,10 +155,14 @@ def test_criterion_7_palette_two():
         assert cert.h1_edges | cert.h2_edges == set(range(g.edge_count))
         assert not (cert.h1_edges & cert.h2_edges)
         for part in (cert.h1_edges, cert.h2_edges):
-            sub, _ = edge_subgraph(g, part)
+            sub, kept = edge_subgraph(g, part)
             sub, _ = without_isolated(sub)
             assert len(set(sub.degrees)) == 1
-            assert chromatic_index_exact(sub) == sub.max_degree  # class 1
+            # class 1: the certificate's own coloring, restricted to the part
+            restricted = EdgeColoring({eid: cert.coloring.color_of[host]
+                                       for eid, host in enumerate(kept)})
+            assert not verify_proper(sub, restricted)
+            assert restricted.colors_used() == sub.max_degree
         v1 = {v for e in cert.h1_edges for v in g.edges[e]}
         v2 = {v for e in cert.h2_edges for v in g.edges[e]}
         assert v1 <= v2 == set(range(g.vertex_count))

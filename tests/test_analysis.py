@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from palette_index.analysis import (classify_full_palette, decide_palette_two,
                                     palette_lower_bound, upper_bound_catalog)
 from palette_index.constructions import color_auto
-from palette_index.exact import chromatic_index_exact, palette_index_exact
+from palette_index.exact import palette_index_exact
 from palette_index.graph import (GraphError, build_graph,
                                  gen_complete_bipartite, gen_grid,
                                  gen_random_biregular,
@@ -52,13 +52,6 @@ def test_lower_bound_biregular_ratio():
 def test_lower_bound_grid_degrees():
     value, tag = palette_lower_bound(gen_grid(3, 4))
     assert value == 3  # three distinct degrees force three palettes
-
-
-def test_lower_bound_regular_with_chromatic_index():
-    c5 = cycle(5)
-    assert palette_lower_bound(c5, chromatic_index_exact(c5)) == (3, "regular-class2")
-    c6 = cycle(6)
-    assert palette_lower_bound(c6, chromatic_index_exact(c6))[0] == 1
 
 
 def test_lower_bound_two_odd_profile():

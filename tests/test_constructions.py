@@ -91,7 +91,7 @@ def reference_even_pairs_colors(g):
     padded = list(g.edges)
     for v in range(g.vertex_count):
         padded.extend([(v, v)] * (r - g.degrees[v] // 2))
-    star = Graph(g.vertex_count, tuple(padded), loop_allowed=True)
+    star = Graph(g.vertex_count, tuple(padded))
     colors = {}
     for i, factor in enumerate(two_factorization(star).factors, start=1):
         real = sorted(e for e in factor if e < m)

@@ -3,14 +3,13 @@ from __future__ import annotations
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palette_index.coloring import EdgeColoring, palette_summary, verify_proper
-from palette_index.exact import (BudgetExhausted, SearchLimits,
-                                 chromatic_index_exact, palette_index_exact,
-                                 palette_index_naive, vizing_coloring)
-from palette_index.graph import (Graph, GraphError, build_graph,
+from palette_index.exact import (SearchLimits, palette_index_exact,
+                                 palette_index_naive)
+from palette_index.graph import (GraphError, build_graph,
                                  gen_complete_bipartite, gen_grid,
                                  gen_random_biregular, without_isolated)
 
@@ -136,149 +135,18 @@ def test_palette_index_budget_on_1280_edges_keeps_the_recursion_limit():
     assert palette_summary(g, result.witness).distinct == result.value >= 3
 
 
-def test_chromatic_index_of_a_long_odd_cycle_keeps_the_recursion_limit():
-    limit = sys.getrecursionlimit()
-    assert chromatic_index_exact(cycle(2001)) == 3
-    assert sys.getrecursionlimit() == limit
-
-
-def test_chromatic_index_examples():
-    assert chromatic_index_exact(cycle(5)) == 3
-    assert chromatic_index_exact(gen_complete_bipartite(3, 3)) == 3
-    assert chromatic_index_exact(complete(4)) == 3
-    assert chromatic_index_exact(complete(5)) == 5
-
-
-def test_chromatic_index_petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    petersen = build_graph(10, outer + inner + spokes)
-    assert chromatic_index_exact(petersen) == 4
-
-
-def test_chromatic_index_multigraph():
-    g = build_graph(3, [(0, 1), (0, 1), (1, 2), (0, 2)])
-    assert chromatic_index_exact(g) == 4  # triangle with a doubled edge
-
-
-def test_chromatic_index_budget():
-    with pytest.raises(BudgetExhausted):
-        chromatic_index_exact(complete(5), SearchLimits(max_nodes=2))
-
-
-def test_vizing_examples():
-    for g, cap in [(cycle(5), 3), (complete(4), 4),
-                   (gen_complete_bipartite(3, 3), 4)]:
-        coloring = vizing_coloring(g)
-        assert not verify_proper(g, coloring)
-        assert coloring.max_color() <= cap
-
-
-def test_vizing_rejects_multigraph():
-    with pytest.raises(GraphError):
-        vizing_coloring(build_graph(2, [(0, 1), (0, 1)]))
-
-
-def reference_vizing_coloring(g: Graph) -> EdgeColoring:
-    """`vizing_coloring` as first written, on per-vertex dict tables with its
-    own alternating-path walk, kept to pin its colors."""
-    if not g.is_simple():
-        raise GraphError("fan recoloring requires a simple graph")
-    k = g.max_degree + 1
-    color: dict[int, int] = {}
-    at: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
-
-    def free(v: int) -> int:
-        for c in range(1, k + 1):
-            if c not in at[v]:
-                return c
-        raise AssertionError("no free color; degree bound violated")
-
-    def set_color(eid: int, c: int) -> None:
-        u, v = g.edges[eid]
-        assert c not in at[u] and c not in at[v]
-        color[eid] = c
-        at[u][c] = eid
-        at[v][c] = eid
-
-    def unset_color(eid: int) -> int:
-        c = color.pop(eid)
-        u, v = g.edges[eid]
-        del at[u][c]
-        del at[v][c]
-        return c
-
-    def invert_path(start: int, d: int, c: int) -> None:
-        path = []
-        v, want = start, d
-        while want in at[v]:
-            eid = at[v][want]
-            path.append(eid)
-            v = g.other_end(eid, v)
-            want = c if want == d else d
-        olds = [unset_color(eid) for eid in path]
-        for eid, old in zip(path, olds):
-            set_color(eid, c if old == d else d)
-
-    for e0 in range(g.edge_count):
-        x, f = g.edges[e0]
-        fan = [f]
-        fan_edges = [e0]
-        in_fan = {f}
-        while True:
-            beta = free(fan[-1])
-            if beta not in at[x]:
-                break
-            nxt = at[x][beta]
-            w = g.other_end(nxt, x)
-            if w in in_fan:
-                break
-            fan.append(w)
-            fan_edges.append(nxt)
-            in_fan.add(w)
-        c = free(x)
-        d = free(fan[-1])
-        if d in at[x]:
-            invert_path(x, d, c)
-        # rotate the longest prefix that is still a fan and ends where d is free
-        j = None
-        for idx in range(len(fan)):
-            if idx > 0 and color[fan_edges[idx]] in at[fan[idx - 1]]:
-                break
-            if d not in at[fan[idx]]:
-                j = idx
-        assert j is not None, "fan recoloring failed to free a color"
-        for i in range(j):
-            moved = unset_color(fan_edges[i + 1])
-            set_color(fan_edges[i], moved)
-        set_color(fan_edges[j], d)
-
-    return EdgeColoring(color)
-
-
-@settings(deadline=None, max_examples=200)
-@given(simple_graphs(max_n=9, max_m=18))
-@example(complete(5))
-@example(cycle(5))
-def test_vizing_coloring_matches_the_reference(g):
-    assert vizing_coloring(g) == reference_vizing_coloring(g)
-
-@settings(deadline=None, max_examples=150)
-@given(simple_graphs(max_n=9, max_m=18))
-def test_vizing_property(g):
-    coloring = vizing_coloring(g)
-    assert not verify_proper(g, coloring)
-    assert coloring.max_color() <= g.max_degree + 1
-
-
 @settings(deadline=None, max_examples=40)
 @given(simple_graphs(max_n=6, max_m=8))
 def test_palette_value_at_most_any_proper_coloring(g):
+    nx = pytest.importorskip("networkx")
     g, _ = without_isolated(g)
     if g.vertex_count < 2:
         return
+    multi = nx.MultiGraph()
+    for eid, (u, v) in enumerate(g.edges):
+        multi.add_edge(u, v, key=eid)
+    greedy = nx.greedy_color(nx.line_graph(multi))
+    coloring = EdgeColoring({node[2]: c + 1 for node, c in greedy.items()})
     value = palette_index_exact(g).value
-    vizing = vizing_coloring(g)
-    assert value <= palette_summary(g, vizing).distinct
+    assert value <= palette_summary(g, coloring).distinct
     assert value >= len(g.degree_set())

@@ -111,5 +111,5 @@ def test_parse_graph_error_messages(text, message):
 def test_parse_graph_whitespace_and_comment_lines():
     text = "  # c\n\n\t\np\t3  2\n\te 1\t2\n#mid\n e 3 2 \n"
     g = parse_graph(text)
-    assert (g.vertex_count, g.edges, g.loop_allowed) == (3, ((0, 1), (2, 1)), False)
+    assert (g.vertex_count, g.edges) == (3, ((0, 1), (2, 1)))
     assert parse_graph("p 0 0\n") == build_graph(0, [])
