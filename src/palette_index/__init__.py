@@ -19,11 +19,11 @@ from .constructions import (ROUTES, ConstructionResult, color_2_odd,
                             color_even_bipartite, color_grid, color_grid_on,
                             color_r_2r, color_via_doubling, grid_palette_value,
                             recognize_grid)
-from .decompose import (FactorSet, Matching, eulerian_circuit, konig_coloring,
+from .decompose import (eulerian_circuit, konig_coloring,
                         matching_covering_max_degree, maximum_matching,
                         parity_split, split_part_vertices, two_factorization)
-from .exact import (BudgetExhausted, PaletteIndexResult, SearchLimits,
-                    palette_index_exact, palette_index_naive)
+from .exact import (PaletteIndexResult, SearchLimits, palette_index_exact,
+                    palette_index_naive)
 from .fileformat import (FormatError, parse_coloring, parse_graph,
                          serialize_coloring, serialize_graph)
 from .graph import (Bipartition, BiregularProfile, Component, Graph, GraphError,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .coloring import EdgeColoring, palette_summary
 from .constructions import RouteFacts, grid_palette_value, route_bounds
-from .exact import BudgetExhausted, SearchLimits, palette_index_exact
+from .exact import palette_index_exact
 from .graph import Graph, GraphError, without_isolated
 
 __all__ = [
@@ -158,13 +158,13 @@ class PaletteTwoCertificate:
     coloring: EdgeColoring  # normalized two-palette coloring
 
 
-def decide_palette_two(g: Graph, limits: SearchLimits | None = None
-                       ) -> tuple[bool, PaletteTwoCertificate | None]:
+def decide_palette_two(g: Graph) -> tuple[bool, PaletteTwoCertificate | None]:
     """Decide whether g can be properly colored with exactly two distinct
-    palettes, extracting the regular-decomposition certificate when it can."""
-    result = palette_index_exact(g, limits)
-    if not result.proved:
-        raise BudgetExhausted("palette search ran out of budget before deciding")
+    palettes, extracting the regular-decomposition certificate when it can.
+
+    The exact search runs without a budget, so the answer is always proved.
+    """
+    result = palette_index_exact(g)
     if result.value != 2:
         return (False, None)
     # one palette per degree class; move each color the small palette lacks

@@ -16,7 +16,7 @@ from .constructions import (color_auto, color_biregular_auto,
                             color_complete_bipartite_on, color_deg5,
                             color_even_bipartite, color_grid_on,
                             color_via_doubling)
-from .exact import BudgetExhausted, SearchLimits, palette_index_exact
+from .exact import SearchLimits, palette_index_exact
 from .fileformat import (FormatError, parse_coloring, parse_graph,
                          serialize_coloring, serialize_graph)
 from .graph import (Graph, GraphError, gen_complete_bipartite, gen_grid,
@@ -211,9 +211,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (FormatError, GraphError, ColoringError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except BudgetExhausted as exc:
-        sys.stderr.write(f"budget exhausted: {exc}\n")
-        return 3
 
 
 def main() -> None:

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Callable
 
 from .coloring import EdgeColoring, palette_summary
-from .decompose import (Matching, cyclic_interval_coloring, factor_cycles,
+from .decompose import (cyclic_interval_coloring, factor_cycles,
                         konig_coloring, matching_covering_max_degree,
                         maximum_matching, parity_split,
                         peel_perfect_matchings, split_part_vertices)
@@ -103,9 +103,8 @@ def color_via_doubling(g: Graph) -> ConstructionResult:
     _require_bipartite(g)
     if g.has_isolated_vertices():
         raise GraphError("isolated vertices are not allowed here")
-    closure, embedding = even_closure(g)
-    inner = color_even_bipartite(closure)
-    colors = {orig: inner.coloring.color_of[new] for new, orig in embedding.items()}
+    inner = color_even_bipartite(even_closure(g)).coloring.color_of
+    colors = {eid: inner[eid] for eid in range(g.edge_count)}  # copy 1 keeps g's ids
     bound = doubling_palette_bound(g)
     if g.max_degree == 4:
         assert bound <= 11
@@ -130,13 +129,13 @@ def _color_deg5(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     return _five_on_matching(g, matching_covering_max_degree(g, f.bip), bound, "deg5")
 
 
-def _five_on_matching(g: Graph, matching: Matching, bound: int,
+def _five_on_matching(g: Graph, matching: frozenset[int], bound: int,
                       tag: str) -> ConstructionResult:
     """Color 5 on `matching`, the rest of g by doubling."""
-    rest = [eid for eid in range(g.edge_count) if eid not in matching.edge_ids]
+    rest = [eid for eid in range(g.edge_count) if eid not in matching]
     colors: dict[int, int] = {}
     _color_part(g, rest, color_via_doubling, colors)
-    for eid in matching.edge_ids:
+    for eid in matching:
         colors[eid] = 5
     return _finish(g, colors, bound, tag)
 
@@ -278,10 +277,9 @@ def _split_classes(g: Graph, bip: Bipartition, unit: int) -> list[frozenset[int]
     """Split every vertex into degree-`unit` copies and peel the
     `unit`-regular result into `unit` perfect matchings.  Edge ids survive
     the split, so each class meets every vertex of g degree/unit times."""
-    for side in ("X", "Y"):
-        g, back = split_part_vertices(g, bip, side, unit)
-        bip = Bipartition(tuple(bip.side_of[orig] for orig in back))
-    return peel_perfect_matchings(g, bip, unit)
+    split, back = split_part_vertices(g, unit)
+    side_of = tuple(bip.side_of[v] for v in back)
+    return peel_perfect_matchings(split, Bipartition(side_of))
 
 
 def _color_part(g: Graph, edge_ids, build: Callable[[Graph], ConstructionResult],
@@ -429,9 +427,9 @@ def _konig_result(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
 
 
 def _is_complete_bipartite(g: Graph, prof: BiregularProfile) -> bool:
-    return (g.is_simple()
-            and g.edge_count == prof.x_count * prof.y_count
-            and prof.b == prof.x_count and prof.a == prof.y_count)
+    xs, ys = len(prof.x_vertices), len(prof.y_vertices)
+    return (g.is_simple() and g.edge_count == xs * ys
+            and prof.b == xs and prof.a == ys)
 
 
 def _complete_on_graph(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
@@ -504,7 +502,7 @@ class RouteFacts:
         return self.bip is not None and self.g.is_even()
 
     @cached_property
-    def matching(self) -> Matching:  # a maximum matching; needs a bipartition
+    def matching(self) -> frozenset[int]:  # a maximum matching; needs a bipartition
         return maximum_matching(self.g, self.bip)
 
     @cached_property

@@ -25,28 +25,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .coloring import EdgeColoring
 from .graph import SIDE_X, SIDE_Y, Bipartition, Graph, GraphError
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A set of edge ids of a host graph, no two sharing an endpoint."""
-
-    edge_ids: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.edge_ids)
-
-
-@dataclass(frozen=True)
-class FactorSet:
-    """Disjoint edge-id sets partitioning the host's edges; for a
-    2-factorization every factor is spanning and 2-regular (loops count 2)."""
-
-    factors: tuple[frozenset[int], ...]
 
 
 def eulerian_circuit(g: Graph) -> list[list[int]]:
@@ -97,28 +78,28 @@ def eulerian_circuit(g: Graph) -> list[list[int]]:
     return circuits
 
 
-def two_factorization(g: Graph) -> FactorSet:
+def two_factorization(g: Graph) -> tuple[frozenset[int], ...]:
     """Split a 2r-regular multigraph (loops allowed, counting 2) into r
-    2-factors.
+    2-factors, each the edge-id set of a spanning 2-regular subgraph.
 
     Factor i holds the edges whose arcs take color i in `_two_factor_table`:
-    the out-arcs of color i, one per vertex.
+    the out-arcs of color i, one per vertex.  A graph without edges has no
+    factors.
     """
     degs = set(g.degrees)
     if len(degs) > 1:
         raise GraphError(f"graph is not regular: degrees {sorted(degs)}")
     if not degs:
-        return FactorSet(())
+        return ()
     d = degs.pop()
     if d % 2 != 0:
         raise GraphError(f"degree {d} is odd; 2-factorization needs even regularity")
     r = d // 2
     if r == 0:
-        return FactorSet(())
+        return ()
     at, _, source = _two_factor_table(g, r)
     outs = at[:g.vertex_count]
-    return FactorSet(tuple(frozenset(source[row[i]] for row in outs)
-                           for i in range(1, r + 1)))
+    return tuple(frozenset(source[row[i]] for row in outs) for i in range(1, r + 1))
 
 
 def factor_cycles(g: Graph) -> list[list[list[int]]]:
@@ -195,8 +176,8 @@ def _two_factor_table(g: Graph, r: int
     return at, arcs, source
 
 
-def maximum_matching(g: Graph, bip: Bipartition) -> Matching:
-    """Maximum-cardinality matching by Hopcroft-Karp (1973).
+def maximum_matching(g: Graph, bip: Bipartition) -> frozenset[int]:
+    """The edge ids of a maximum-cardinality matching, by Hopcroft-Karp (1973).
 
     Each phase layers the X side by breadth-first search from the free
     X-vertices, then augments along vertex-disjoint layered paths found by a
@@ -249,15 +230,16 @@ def maximum_matching(g: Graph, bip: Bipartition) -> Matching:
                 if layer[x2] == layer[x] + 1:
                     stack.append(x2)
                     path.append(eid)
-    return Matching(frozenset(mate[x] for x in xs if mate[x] >= 0))
+    return frozenset(mate[x] for x in xs if mate[x] >= 0)
 
 
-def peel_perfect_matchings(g: Graph, bip: Bipartition,
-                           rounds: int) -> list[frozenset[int]]:
-    """Split a `rounds`-regular bipartite multigraph into `rounds` perfect
-    matchings: the color classes 1..rounds of `konig_coloring`."""
+def peel_perfect_matchings(g: Graph, bip: Bipartition) -> list[frozenset[int]]:
+    """Split a d-regular bipartite multigraph into d perfect matchings: the
+    color classes 1..d of `konig_coloring`, where d is the common degree
+    (no matchings for a graph without edges)."""
+    rounds = g.max_degree
     if any(d != rounds for d in g.degrees):
-        raise GraphError(f"graph is not {rounds}-regular")
+        raise GraphError("graph is not regular")
     classes: list[set[int]] = [set() for _ in range(rounds)]
     for eid, c in konig_coloring(g, bip).color_of.items():
         classes[c - 1].add(eid)
@@ -378,8 +360,9 @@ def cyclic_interval_coloring(g: Graph, bip: Bipartition) -> list[int] | None:
     return None if costly else color
 
 
-def matching_covering_max_degree(g: Graph, bip: Bipartition) -> Matching:
-    """An inclusion-minimal matching covering every maximum-degree vertex.
+def matching_covering_max_degree(g: Graph, bip: Bipartition) -> frozenset[int]:
+    """The edge ids of an inclusion-minimal matching covering every
+    maximum-degree vertex.
 
     Color class 1 of the degree-many coloring covers all of them (such a
     vertex is incident with every color); members touching no maximum-degree
@@ -387,59 +370,40 @@ def matching_covering_max_degree(g: Graph, bip: Bipartition) -> Matching:
     """
     delta = g.max_degree
     if delta == 0:
-        return Matching(frozenset())
+        return frozenset()
     coloring = konig_coloring(g, bip)
     class1 = [eid for eid, c in coloring.color_of.items() if c == 1]
     kept = [eid for eid in class1
             if g.degrees[g.edges[eid][0]] == delta
             or g.degrees[g.edges[eid][1]] == delta]
-    return Matching(frozenset(kept))
+    return frozenset(kept)
 
 
-def split_part_vertices(g: Graph, bip: Bipartition, side: str,
-                        target: int) -> tuple[Graph, tuple[int, ...]]:
-    """Replace each vertex of the chosen part by degree/target copies of
-    degree `target`, distributing its incident edges to copies in consecutive
+def split_part_vertices(g: Graph, target: int) -> tuple[Graph, tuple[int, ...]]:
+    """Replace each vertex of degree d by d/target copies of degree `target`,
+    in vertex order, giving the copies its incident edges in consecutive
     edge-id blocks.  Edge ids are preserved.
 
+    Rejects loops, a target below 1 and a degree not divisible by `target`.
     Returns the new graph and a back-map (new vertex id -> original id).
     """
-    if side not in ("X", "Y"):
-        raise GraphError(f"side must be 'X' or 'Y', got {side!r}")
     if target < 1:
         raise GraphError(f"target degree must be positive, got {target}")
-    side_val = SIDE_X if side == "X" else SIDE_Y
-    on_side = [bip.side_of[v] == side_val for v in range(g.vertex_count)]
-    for v in range(g.vertex_count):
-        if on_side[v] and g.degrees[v] % target != 0:
-            raise GraphError(
-                f"vertex {v} has degree {g.degrees[v]}, not divisible by {target}")
-    base: list[int] = []
+    for v, d in enumerate(g.degrees):
+        if d % target != 0:
+            raise GraphError(f"vertex {v} has degree {d}, not divisible by {target}")
+    if any(u == v for u, v in g.edges):
+        raise GraphError("cannot split a graph with loops")
     back: list[int] = []
-    next_id = 0
-    for v in range(g.vertex_count):
-        base.append(next_id)
-        copies = g.degrees[v] // target if on_side[v] else 1
-        back.extend([v] * copies)
-        next_id += copies
-    # copy index of each incident edge, chunked in ascending edge-id order
-    chunk_of: dict[int, int] = {}
-    for v in range(g.vertex_count):
-        if on_side[v]:
-            for pos, eid in enumerate(g.incidence[v]):
-                chunk_of[eid] = pos // target
-
-    def map_end(v: int, eid: int) -> int:
-        if on_side[v]:
-            return base[v] + chunk_of[eid]
-        return base[v]
-
-    new_edges = []
-    for eid, (u, v) in enumerate(g.edges):
-        if u == v:
-            raise GraphError("cannot split a graph with loops")
-        new_edges.append((map_end(u, eid), map_end(v, eid)))
-    return Graph(next_id, tuple(new_edges)), tuple(back)
+    ends: list[list[int]] = [[] for _ in g.edges]  # the new ends of each edge
+    for v, inc in enumerate(g.incidence):
+        for pos, eid in enumerate(inc):
+            ends[eid].append(len(back) + pos // target)
+        back.extend([v] * (len(inc) // target))
+    # vertices are visited in order, so the ends stay in (u, v) order when u < v
+    new_edges = tuple((a, b) if u < v else (b, a)
+                      for (u, v), (a, b) in zip(g.edges, ends))
+    return Graph(len(back), new_edges), tuple(back)
 
 
 def parity_split(g: Graph) -> tuple[frozenset[int], frozenset[int]]:

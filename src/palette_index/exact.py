@@ -15,10 +15,6 @@ from .coloring import EdgeColoring, palette_summary
 from .graph import Graph, GraphError
 
 
-class BudgetExhausted(RuntimeError):
-    """A search hit its node or wall budget before finishing."""
-
-
 @dataclass(frozen=True)
 class SearchLimits:
     max_nodes: int | None = None

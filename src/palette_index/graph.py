@@ -107,8 +107,6 @@ class BiregularProfile:
 
     a: int
     b: int
-    x_count: int
-    y_count: int
     x_vertices: tuple[int, ...]  # the side whose vertices all have degree a
     y_vertices: tuple[int, ...]
 
@@ -193,7 +191,7 @@ def biregular_profile(g: Graph) -> BiregularProfile | None:
             return None
         x_verts = tuple(v for v in range(g.vertex_count) if degs[v] == a)
         y_verts = tuple(v for v in range(g.vertex_count) if degs[v] == b)
-    return BiregularProfile(a, b, len(x_verts), len(y_verts), x_verts, y_verts)
+    return BiregularProfile(a, b, x_verts, y_verts)
 
 
 def gen_complete_bipartite(a: int, b: int) -> Graph:
@@ -283,23 +281,22 @@ def _repair_multiedges(pairs: list[tuple[int, int]],
     return n_dup == 0
 
 
-def even_closure(g: Graph) -> tuple[Graph, dict[int, int]]:
+def even_closure(g: Graph) -> Graph:
     """Two disjoint copies of g plus one edge per odd-degree vertex between
     its two copies.  The result is even and bipartite.
 
-    Returns the closure and an embedding mapping each copy-1 edge id back to
-    its source edge id in g (the identity on 0..edge_count-1).
+    Copy 1 keeps g's vertex and edge ids: edge e of g is edge e of the
+    closure, for every e in 0..edge_count-1.
     """
     if bipartition(g) is None:
         raise GraphError("even closure requires a bipartite graph")
-    n, m = g.vertex_count, g.edge_count
+    n = g.vertex_count
     edges = list(g.edges)
     edges.extend((u + n, v + n) for u, v in g.edges)
     for v in range(n):
         if g.degrees[v] % 2 == 1:
             edges.append((v, v + n))
-    embedding = {eid: eid for eid in range(m)}
-    return Graph(2 * n, tuple(edges)), embedding
+    return Graph(2 * n, tuple(edges))
 
 
 def components(g: Graph) -> list[Component]:

@@ -93,7 +93,7 @@ def reference_even_pairs_colors(g):
         padded.extend([(v, v)] * (r - g.degrees[v] // 2))
     star = Graph(g.vertex_count, tuple(padded))
     colors = {}
-    for i, factor in enumerate(two_factorization(star).factors, start=1):
+    for i, factor in enumerate(two_factorization(star), start=1):
         real = sorted(e for e in factor if e < m)
         inc = {}
         for eid in real:

@@ -53,9 +53,9 @@ def test_grid_construction_cannot_be_improved_at_3x3():
 
 def test_closure_restriction_is_proper():
     g = gen_complete_bipartite(2, 3)
-    closure, embedding = even_closure(g)
-    bip = bipartition(closure)
-    coloring = konig_coloring(closure, bip)
-    restricted = EdgeColoring({orig: coloring.color_of[new]
-                               for new, orig in embedding.items()})
+    closure = even_closure(g)
+    assert closure.edges[:g.edge_count] == g.edges  # copy 1 keeps the edge ids
+    coloring = konig_coloring(closure, bipartition(closure))
+    restricted = EdgeColoring({eid: coloring.color_of[eid]
+                               for eid in range(g.edge_count)})
     assert not verify_proper(g, restricted)

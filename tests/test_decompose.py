@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palette_index.coloring import EdgeColoring, palette_summary, verify_proper
-from palette_index.decompose import (FactorSet, Matching, eulerian_circuit,
-                                     konig_coloring,
+from palette_index.decompose import (eulerian_circuit, konig_coloring,
                                      matching_covering_max_degree,
                                      maximum_matching, parity_split,
                                      peel_perfect_matchings,
@@ -176,7 +175,7 @@ def test_eulerian_circuit_consecutive_edges_share_vertices():
 
 
 def test_two_factorization_c6_is_itself():
-    factors = two_factorization(cycle(6)).factors
+    factors = two_factorization(cycle(6))
     assert len(factors) == 1 and factors[0] == frozenset(range(6))
 
 
@@ -191,7 +190,7 @@ def _factor_degrees(g, factor):
 
 def test_two_factorization_k44():
     g = gen_complete_bipartite(4, 4)
-    factors = two_factorization(g).factors
+    factors = two_factorization(g)
     assert len(factors) == 2
     for factor in factors:
         assert all(d == 2 for d in _factor_degrees(g, factor))
@@ -199,7 +198,7 @@ def test_two_factorization_k44():
 
 def test_two_factorization_k5():
     k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    factors = two_factorization(k5).factors
+    factors = two_factorization(k5)
     assert len(factors) == 2
     seen = set()
     for factor in factors:
@@ -210,7 +209,7 @@ def test_two_factorization_k5():
 
 def test_two_factorization_with_loops():
     g = build_graph(2, [(0, 1), (0, 1), (0, 0), (1, 1)], loop_allowed=True)
-    factors = two_factorization(g).factors  # 4-regular with loops
+    factors = two_factorization(g)  # 4-regular with loops
     assert len(factors) == 2
 
 
@@ -240,10 +239,9 @@ def reference_two_factorization(g):
     """`two_factorization` as it was first written, kept to pin its factors:
     Kőnig's color classes of the realization graph, peeled as perfect
     matchings and pulled back to g's edge ids."""
-    r = g.max_degree // 2
     h, bip, arc_source = realization(g)
-    return FactorSet(tuple(frozenset(arc_source[a] for a in cls)
-                           for cls in peel_perfect_matchings(h, bip, r)))
+    return tuple(frozenset(arc_source[a] for a in cls)
+                 for cls in peel_perfect_matchings(h, bip))
 
 
 @st.composite
@@ -268,7 +266,7 @@ def regular_even_multigraphs(draw):
 def test_two_factorization_matches_the_reference(g):
     factors = two_factorization(g)
     assert factors == reference_two_factorization(g)
-    for factor in factors.factors:
+    for factor in factors:
         assert all(d == 2 for d in _factor_degrees(g, factor))
 
 
@@ -288,7 +286,7 @@ def test_maximum_matching_is_a_matching():
 
 def assert_is_matching(g, matching):
     touched = set()
-    for eid in matching.edge_ids:
+    for eid in matching:
         u, v = g.edges[eid]
         assert u not in touched and v not in touched
         touched.update((u, v))
@@ -330,16 +328,17 @@ def test_maximum_matching_on_a_long_path_keeps_the_recursion_limit():
 def test_peel_perfect_matchings_rejects_a_non_regular_graph():
     path = build_graph(4, [(0, 1), (1, 2), (2, 3)])  # has a perfect matching
     with pytest.raises(GraphError):
-        peel_perfect_matchings(path, bipartition(path), 1)
+        peel_perfect_matchings(path, bipartition(path))
 
 
 def test_peel_perfect_matchings_splits_a_regular_multigraph():
     g = build_graph(4, [(0, 2), (0, 2), (0, 3), (1, 3), (1, 3), (1, 2)])
-    classes = peel_perfect_matchings(g, bipartition(g), 3)
+    classes = peel_perfect_matchings(g, bipartition(g))
+    assert len(classes) == 3
     assert sorted(e for cls in classes for e in cls) == list(range(6))
     for cls in classes:
         assert len(cls) == 2
-        assert_is_matching(g, Matching(cls))
+        assert_is_matching(g, cls)
 
 
 def test_konig_k33_single_palette():
@@ -487,7 +486,7 @@ def test_matching_covering_k23():
     g = gen_complete_bipartite(2, 3)
     matching = matching_covering_max_degree(g, bipartition(g))
     assert len(matching) == 2
-    covered = {v for eid in matching.edge_ids for v in g.edges[eid]}
+    covered = {v for eid in matching for v in g.edges[eid]}
     assert {0, 1} <= covered  # both degree-3 vertices
 
 
@@ -501,7 +500,7 @@ def test_matching_covering_star():
     g = gen_complete_bipartite(1, 3)
     matching = matching_covering_max_degree(g, bipartition(g))
     assert len(matching) == 1
-    eid = next(iter(matching.edge_ids))
+    eid = next(iter(matching))
     assert 0 in g.edges[eid]
 
 
@@ -512,43 +511,116 @@ def test_matching_covering_minimality(g):
     matching = matching_covering_max_degree(g, bip)
     delta = g.max_degree
     maxdeg_vertices = {v for v in range(g.vertex_count) if g.degrees[v] == delta}
-    covered = {v for eid in matching.edge_ids for v in g.edges[eid]}
+    covered = {v for eid in matching for v in g.edges[eid]}
     assert maxdeg_vertices <= covered
     # removing any member uncovers some max-degree vertex
-    for eid in matching.edge_ids:
-        rest = {v for other in matching.edge_ids if other != eid
+    for eid in matching:
+        rest = {v for other in matching if other != eid
                 for v in g.edges[other]}
         assert not (maxdeg_vertices <= rest)
 
 
 def test_split_part_vertices_k24():
-    g = gen_complete_bipartite(2, 4)  # sides: 2 vertices of degree 4
-    bip = bipartition(g)
-    split, back = split_part_vertices(g, bip, "X", 2)
-    assert set(split.degrees) == {2}
+    g = gen_complete_bipartite(2, 4)  # degree 4 on side X, 2 on side Y
+    split, back = split_part_vertices(g, 1)  # both sides split
+    assert split.vertex_count == 2 * 4 + 4 * 2
+    assert set(split.degrees) == {1}
     assert split.edge_count == g.edge_count
-    # merging back via the map recovers the original edge multiset
-    merged = sorted(tuple(sorted((back[u], back[v]))) for u, v in split.edges)
-    assert merged == sorted(tuple(sorted(e)) for e in g.edges)
+    assert back == tuple(v for v in range(g.vertex_count) for _ in range(g.degrees[v]))
+    # merging back via the map recovers the original edges, ids unchanged
+    assert tuple((back[u], back[v]) for u, v in split.edges) == g.edges
 
 
 def test_split_identity_when_target_is_degree():
-    g = gen_complete_bipartite(2, 4)
-    split, back = split_part_vertices(g, bipartition(g), "X", 4)
-    assert split.vertex_count == g.vertex_count
-    assert split.edges == g.edges
+    g = gen_complete_bipartite(3, 3)
+    split, back = split_part_vertices(g, 3)
+    assert split == g
+    assert back == tuple(range(g.vertex_count))
 
 
 def test_split_k36_to_cubic():
     g = gen_complete_bipartite(3, 6)  # X side: 3 vertices of degree 6
-    split, _ = split_part_vertices(g, bipartition(g), "X", 3)
+    split, _ = split_part_vertices(g, 3)
     assert set(split.degrees) == {3}
+    assert split.vertex_count == 3 * 2 + 6
+
+
+def test_split_rejects_a_loop_and_a_bad_target():
+    g = build_graph(2, [(0, 1), (0, 1), (1, 1)], loop_allowed=True)  # degrees 2, 4
+    with pytest.raises(GraphError, match="loops"):
+        split_part_vertices(g, 2)
+    with pytest.raises(GraphError, match="positive"):
+        split_part_vertices(gen_complete_bipartite(2, 2), 0)
 
 
 def test_split_rejects_indivisible():
-    g = gen_complete_bipartite(2, 3)
-    with pytest.raises(GraphError):
-        split_part_vertices(g, bipartition(g), "X", 2)
+    g = gen_complete_bipartite(2, 3)  # degree 3 on side X, 2 on side Y
+    for target in (2, 3):  # indivisible on side X, then on side Y
+        with pytest.raises(GraphError, match="not divisible"):
+            split_part_vertices(g, target)
+
+
+def reference_split_part(g, bip, side, target):
+    """`split_part_vertices` as it was when it split one side of a
+    bipartition: each vertex of that side becomes degree/target copies."""
+    side_val = SIDE_X if side == "X" else SIDE_Y
+    on_side = [bip.side_of[v] == side_val for v in range(g.vertex_count)]
+    base, back = [], []
+    for v in range(g.vertex_count):
+        base.append(len(back))
+        back.extend([v] * (g.degrees[v] // target if on_side[v] else 1))
+    chunk_of = {}
+    for v in range(g.vertex_count):
+        if on_side[v]:
+            for pos, eid in enumerate(g.incidence[v]):
+                chunk_of[eid] = pos // target
+
+    def map_end(v, eid):
+        return base[v] + chunk_of[eid] if on_side[v] else base[v]
+
+    edges = tuple((map_end(u, eid), map_end(v, eid))
+                  for eid, (u, v) in enumerate(g.edges))
+    return Graph(len(back), edges), tuple(back)
+
+
+def reference_split(g, bip, target):
+    """The two-pass split the biregular rows used: side X, then side Y of
+    the result, with the back maps composed to g's vertex ids."""
+    back = tuple(range(g.vertex_count))
+    for side in ("X", "Y"):
+        g, step = reference_split_part(g, bip, side, target)
+        bip = Bipartition(tuple(bip.side_of[w] for w in step))
+        back = tuple(back[w] for w in step)
+    return g, back
+
+
+# (a, b, target) for the splits of the (3,3r), (5,5r) and (r,2r) rows, the
+# (2k,4k) rest of an odd (r,2r), and a few other common divisors
+_SPLIT_PROFILES = [(3, 9, 3), (6, 9, 3), (5, 10, 5), (4, 8, 2), (6, 12, 3),
+                   (3, 6, 3), (5, 15, 5), (2, 4, 1), (4, 12, 4), (8, 12, 4),
+                   (8, 16, 4)]
+
+
+@pytest.mark.parametrize("a,b,target", _SPLIT_PROFILES)
+def test_split_matches_the_two_pass_reference(a, b, target):
+    rng = random.Random(a * 100 + b)
+    for scale in (1, 2, 3, 5):
+        for seed in range(4):
+            g = gen_random_biregular(a, b, scale, seed)
+            # and a copy with the sides interleaved and the edges shuffled
+            # and reversed at random
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            edges = [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v])
+                     for u, v in g.edges]
+            rng.shuffle(edges)
+            for h in (g, build_graph(g.vertex_count, edges)):
+                split, back = split_part_vertices(h, target)
+                ref, ref_back = reference_split(h, bipartition(h), target)
+                assert split.vertex_count == ref.vertex_count
+                assert split.edges == ref.edges
+                assert back == ref_back
+                assert set(split.degrees) == {target}
 
 
 def test_parity_split_c4():

@@ -163,6 +163,26 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert offenders == []
 
 
+def test_every_imported_name_is_used():
+    # `__init__.py` imports only to export; `__future__` names are flags
+    offenders = []
+    for path in sorted(Path(palette_index.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:  # `import a.b` binds `a`
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders.extend(f"{path.name}:{line}: {name}"
+                         for name, line in imported.items() if name not in used)
+    assert offenders == []
+
+
 def test_every_benchmark_traced_name_resolves():
     # the benchmark's tracer looks every TRACED name up with getattr, so a
     # deleted or renamed function would stop every workload
