@@ -9,7 +9,7 @@ instances exactly.
 from .analysis import (BoundEntry, BoundReport, PaletteTwoCertificate,
                        classify_full_palette, decide_palette_two,
                        palette_lower_bound, upper_bound_catalog)
-from .coloring import (ColoringError, EdgeColoring, PaletteSummary, Violation,
+from .coloring import (ColoringError, PaletteSummary, Violation,
                        palette_summary, verify_proper)
 from .constructions import (ROUTES, ConstructionResult, color_2_odd,
                             color_3_3r, color_3_5, color_4_4r, color_5_5r,
@@ -22,7 +22,7 @@ from .constructions import (ROUTES, ConstructionResult, color_2_odd,
 from .decompose import (eulerian_circuit, konig_coloring,
                         matching_covering_max_degree, maximum_matching,
                         parity_split, split_part_vertices, two_factorization)
-from .exact import (PaletteIndexResult, SearchLimits, palette_index_exact,
+from .exact import (PaletteIndexResult, palette_index_exact,
                     palette_index_naive)
 from .fileformat import (FormatError, parse_coloring, parse_graph,
                          serialize_coloring, serialize_graph)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring, palette_summary
+from .coloring import palette_summary
 from .constructions import RouteFacts, grid_palette_value, route_bounds
 from .exact import palette_index_exact
 from .graph import Graph, GraphError, without_isolated
@@ -155,7 +155,7 @@ class PaletteTwoCertificate:
 
     h1_edges: frozenset[int]  # the d1-d2 extra colors, on big-degree vertices
     h2_edges: frozenset[int]  # the shared colors, spanning every vertex
-    coloring: EdgeColoring  # normalized two-palette coloring
+    coloring: list[int]  # normalized two-palette coloring, by edge id
 
 
 def decide_palette_two(g: Graph) -> tuple[bool, PaletteTwoCertificate | None]:
@@ -172,12 +172,11 @@ def decide_palette_two(g: Graph) -> tuple[bool, PaletteTwoCertificate | None]:
     c2, c1 = sorted(palette_summary(g, result.witness).multiplicity, key=len)
     assert len(c2) < len(c1), "two palettes force exactly two degrees"
     relabel = dict(zip(sorted(c2 - c1), sorted(c1 - c2)))
-    coloring = EdgeColoring({eid: relabel.get(col, col)
-                             for eid, col in result.witness.color_of.items()})
+    coloring = [relabel.get(col, col) for col in result.witness]
     c2 = frozenset(relabel.get(col, col) for col in c2)
     assert palette_summary(g, coloring).distinct == 2  # raises if improper
-    h2 = frozenset(eid for eid, col in coloring.color_of.items() if col in c2)
-    h1 = frozenset(eid for eid, col in coloring.color_of.items() if col in c1 - c2)
+    h2 = frozenset(eid for eid, col in enumerate(coloring) if col in c2)
+    h1 = frozenset(eid for eid, col in enumerate(coloring) if col in c1 - c2)
     _check_regular_on_support(g, h1)
     _check_regular_on_support(g, h2)
     v1 = {v for eid in h1 for v in g.edges[eid]}

@@ -16,7 +16,7 @@ from .constructions import (color_auto, color_biregular_auto,
                             color_complete_bipartite_on, color_deg5,
                             color_even_bipartite, color_grid_on,
                             color_via_doubling)
-from .exact import SearchLimits, palette_index_exact
+from .exact import palette_index_exact
 from .fileformat import (FormatError, parse_coloring, parse_graph,
                          serialize_coloring, serialize_graph)
 from .graph import (Graph, GraphError, gen_complete_bipartite, gen_grid,
@@ -84,8 +84,7 @@ def _cmd_exact(args) -> int:
         extra = 1
         sys.stderr.write(f"note: {isolated} isolated vertices contribute one "
                          "shared empty palette, included in the result\n")
-    limits = SearchLimits(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
-    result = palette_index_exact(g, limits)
+    result = palette_index_exact(g, args.max_nodes, args.max_seconds)
     summary = palette_summary(g, result.witness)
     _emit(serialize_coloring(result.witness, summary.distinct + extra), args.output)
     sys.stdout.write(f"palette_index={result.value + extra} "
@@ -110,19 +109,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     # isolated vertices have no edges to clash; edge ids survive the trim
     g, host = without_isolated(_load_graph(args.graph))
-    coloring, _header = parse_coloring(_read_text(args.coloring))
-    # name a missing or stray edge 1-based, as the ColoringFile does; the
-    # parser already refuses non-positive colors, so nothing else is left
-    # for verify_proper to raise on
-    colored = coloring.color_of
-    missing = next((eid for eid in range(g.edge_count) if eid not in colored), None)
-    if missing is not None:
-        raise ColoringError(f"partial coloring: edge {missing + 1} has no color")
-    if len(colored) > g.edge_count:
-        stray = min(eid for eid in colored if eid >= g.edge_count)
-        raise ColoringError(
-            f"edge {stray + 1} is colored, but the graph has {g.edge_count} edges")
-    violations = verify_proper(g, coloring)
+    colors, _header = parse_coloring(_read_text(args.coloring), g.edge_count)
+    violations = verify_proper(g, colors)
     for v in violations:
         sys.stdout.write(f"violation vertex={host[v.vertex] + 1} "
                          f"edges={v.edge_a + 1},{v.edge_b + 1}\n")

@@ -1,28 +1,19 @@
-"""Edge colorings, properness checking, and palette extraction."""
+"""Edge colorings, properness checking, and palette extraction.
+
+A coloring of a graph is a list of positive colors indexed by edge id:
+`colors[eid]` is the color of edge `eid`, and every edge has one.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from .graph import Graph
 
 
 class ColoringError(ValueError):
     """Raised for partial or improper colorings where a proper one is required."""
-
-
-@dataclass
-class EdgeColoring:
-    """Assignment of a positive color to each edge id of a host graph.
-
-    May be partial while a construction is still filling it in; every public
-    operation that consumes a coloring requires it to be total.
-    """
-
-    color_of: dict[int, int] = field(default_factory=dict)
-
-    def colors_used(self) -> int:
-        return len(set(self.color_of.values()))
 
 
 @dataclass(frozen=True)
@@ -41,21 +32,23 @@ class PaletteSummary:
     multiplicity: dict[frozenset[int], int]
 
 
-def verify_proper(g: Graph, c: EdgeColoring) -> list[Violation]:
-    """All properness violations of a total coloring; empty means proper.
+def _check_entries(g: Graph, colors: Sequence[int]) -> None:
+    """Raise unless `colors` holds one positive color per edge of g."""
+    if len(colors) != g.edge_count:
+        raise ColoringError(
+            f"coloring lists {len(colors)} edges, but the graph has {g.edge_count}")
+    if min(colors, default=1) < 1:
+        eid = next(eid for eid, col in enumerate(colors) if col < 1)
+        raise ColoringError(f"edge {eid} has non-positive color {colors[eid]}")
+
+
+def verify_proper(g: Graph, colors: Sequence[int]) -> list[Violation]:
+    """All properness violations of a coloring; empty means proper.
 
     A violation names a vertex and the two incident edges sharing a color.
     Loops can never be properly colored and are reported against themselves.
     """
-    for eid in range(g.edge_count):
-        if eid not in c.color_of:
-            raise ColoringError(f"partial coloring: edge {eid} has no color")
-        if c.color_of[eid] < 1:
-            raise ColoringError(f"edge {eid} has non-positive color {c.color_of[eid]}")
-    if len(c.color_of) > g.edge_count:  # every edge is colored, so one id is stray
-        stray = min(eid for eid in c.color_of if not 0 <= eid < g.edge_count)
-        raise ColoringError(
-            f"edge {stray} is colored, but the graph has {g.edge_count} edges")
+    _check_entries(g, colors)
     violations: list[Violation] = []
     for v in range(g.vertex_count):
         by_color: dict[int, list[int]] = {}
@@ -63,7 +56,7 @@ def verify_proper(g: Graph, c: EdgeColoring) -> list[Violation]:
             if g.is_loop(eid):
                 violations.append(Violation(v, eid, eid))
                 continue
-            by_color.setdefault(c.color_of[eid], []).append(eid)
+            by_color.setdefault(colors[eid], []).append(eid)
         for group in by_color.values():
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
@@ -71,21 +64,18 @@ def verify_proper(g: Graph, c: EdgeColoring) -> list[Violation]:
     return violations
 
 
-def palette_summary(g: Graph, c: EdgeColoring) -> PaletteSummary:
-    """Palettes of a proper coloring; raises on a partial, non-positive,
-    looped or improper one, or one naming an edge g lacks, with the message
-    `verify_proper` leads to."""
-    get = c.color_of.get
-    colors = [get(eid, 0) for eid in range(g.edge_count)]  # 0 marks a missing color
+def palette_summary(g: Graph, colors: Sequence[int]) -> PaletteSummary:
+    """Palettes of a proper coloring; raises on one of the wrong length, or
+    a non-positive, looped or improper one, with the message `verify_proper`
+    leads to."""
+    _check_entries(g, colors)
     palettes = tuple(frozenset(map(colors.__getitem__, ids)) for ids in g.incidence)
     # a loop (listed once) or a repeated color leaves the sizes short of 2|E|
-    if (min(colors, default=1) < 1 or sum(map(len, palettes)) != 2 * g.edge_count
-            or len(c.color_of) != g.edge_count):
-        bad = verify_proper(g, c)  # raises on a partial, non-positive or stray one
-        first = bad[0]
+    if sum(map(len, palettes)) != 2 * g.edge_count:
+        first = verify_proper(g, colors)[0]
         raise ColoringError(
             f"improper coloring: vertex {first.vertex} sees color "
-            f"{c.color_of[first.edge_a]} on edges {first.edge_a} and {first.edge_b}")
+            f"{colors[first.edge_a]} on edges {first.edge_a} and {first.edge_b}")
     multiplicity: dict[frozenset[int], int] = {}
     for p in palettes:
         multiplicity[p] = multiplicity.get(p, 0) + 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .coloring import EdgeColoring, palette_summary
+from .coloring import palette_summary
 from .decompose import (cyclic_interval_coloring, factor_cycles,
                         konig_coloring, matching_covering_max_degree,
                         maximum_matching, parity_split,
@@ -25,22 +25,20 @@ from .graph import (SIDE_X, SIDE_Y, Bipartition, BiregularProfile, Graph,
 
 @dataclass
 class ConstructionResult:
-    coloring: EdgeColoring
+    coloring: list[int]  # the color of each edge, by edge id
     claimed_palette_bound: int
     theorem_tag: str
     colors_used: int
     palettes: int  # distinct palettes actually achieved
 
 
-def _finish(g: Graph, colors: dict[int, int], bound: int,
+def _finish(g: Graph, colors: list[int], bound: int,
             tag: str) -> ConstructionResult:
-    coloring = EdgeColoring(dict(colors))
-    summary = palette_summary(g, coloring)  # raises if improper
+    summary = palette_summary(g, colors)  # raises if improper or an edge is left 0
     if summary.distinct > bound:
         raise AssertionError(
             f"{tag}: produced {summary.distinct} palettes, over the promised {bound}")
-    return ConstructionResult(coloring, bound, tag, coloring.colors_used(),
-                              summary.distinct)
+    return ConstructionResult(colors, bound, tag, len(set(colors)), summary.distinct)
 
 
 def _require_bipartite(g: Graph) -> Bipartition:
@@ -70,8 +68,8 @@ def color_even_bipartite(g: Graph) -> ConstructionResult:
     if not g.is_even():
         raise GraphError("all degrees must be even")
     if g.edge_count == 0:
-        return _finish(g, {}, 0, "even-bipartite-pairs")
-    colors: dict[int, int] = {}
+        return _finish(g, [], 0, "even-bipartite-pairs")
+    colors = [0] * g.edge_count
     for i, cycles in enumerate(factor_cycles(g), start=1):
         for cycle in cycles:
             for pos, eid in enumerate(cycle):
@@ -103,8 +101,8 @@ def color_via_doubling(g: Graph) -> ConstructionResult:
     _require_bipartite(g)
     if g.has_isolated_vertices():
         raise GraphError("isolated vertices are not allowed here")
-    inner = color_even_bipartite(even_closure(g)).coloring.color_of
-    colors = {eid: inner[eid] for eid in range(g.edge_count)}  # copy 1 keeps g's ids
+    inner = color_even_bipartite(even_closure(g)).coloring
+    colors = inner[:g.edge_count]  # copy 1 keeps g's ids
     bound = doubling_palette_bound(g)
     if g.max_degree == 4:
         assert bound <= 11
@@ -133,7 +131,7 @@ def _five_on_matching(g: Graph, matching: frozenset[int], bound: int,
                       tag: str) -> ConstructionResult:
     """Color 5 on `matching`, the rest of g by doubling."""
     rest = [eid for eid in range(g.edge_count) if eid not in matching]
-    colors: dict[int, int] = {}
+    colors = [0] * g.edge_count
     _color_part(g, rest, color_via_doubling, colors)
     for eid in matching:
         colors[eid] = 5
@@ -196,7 +194,7 @@ def color_grid(m: int, n: int) -> ConstructionResult:
 def _color_grid_edges(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     """Apply the pattern of the grid `f.dims` to g's edges."""
     m, n = f.dims
-    colors: dict[int, int] = {}
+    colors = [0] * g.edge_count
     for eid, (u, v) in enumerate(g.edges):
         if u > v:
             u, v = v, u
@@ -283,17 +281,17 @@ def _split_classes(g: Graph, bip: Bipartition, unit: int) -> list[frozenset[int]
 
 
 def _color_part(g: Graph, edge_ids, build: Callable[[Graph], ConstructionResult],
-                colors: dict[int, int], shift: int = 0) -> None:
+                colors: list[int], shift: int = 0) -> None:
     """Color the subgraph on an edge subset, isolated vertices dropped, with
-    `build`, and merge the shifted colors into `colors` under g's edge ids."""
+    `build`, and write the shifted colors into `colors` under g's edge ids."""
     sub, kept = edge_subgraph(g, edge_ids)
     trimmed, _ = without_isolated(sub)  # edge ids survive the trim
-    for ne, c in build(trimmed).coloring.color_of.items():
-        colors[kept[ne]] = c + shift
+    for eid, c in zip(kept, build(trimmed).coloring):
+        colors[eid] = c + shift
 
 
 def _color_factor(g: Graph, factor: frozenset[int], big_side: tuple[int, ...],
-                  first: int, colors: dict[int, int]) -> None:
+                  first: int, colors: list[int]) -> None:
     """Give each big-side vertex's factor edges, in id order, the colors
     first, first+1, ..."""
     for y in big_side:
@@ -315,7 +313,7 @@ def _color_3_3r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     r = f.prof.b // 3
     factor = _split_classes(g, f.bip, 3)[0]
     rest = [eid for eid in range(g.edge_count) if eid not in factor]
-    colors: dict[int, int] = {}
+    colors = [0] * g.edge_count
     _color_part(g, rest, color_even_bipartite, colors)
     if f.prof.a == 3:
         _color_factor(g, factor, f.prof.y_vertices, 2 * r + 1, colors)
@@ -338,7 +336,7 @@ def color_4_4r(g: Graph) -> ConstructionResult:
 def _color_4_4r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     r = f.prof.b // 4
     red, blue = parity_split(g)
-    colors: dict[int, int] = {}
+    colors = [0] * g.edge_count
     _color_part(g, red, color_even_bipartite, colors)
     _color_part(g, blue, color_even_bipartite, colors, 2 * r)
     tag = "deg4-multiple" if f.prof.a == 4 else "deg4-multiple-complement"
@@ -356,7 +354,7 @@ def _color_5_5r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     r = f.prof.b // 5
     factor = _split_classes(g, f.bip, 5)[0]
     rest = [eid for eid in range(g.edge_count) if eid not in factor]
-    colors: dict[int, int] = {}
+    colors = [0] * g.edge_count
     _color_part(g, rest, color_4_4r, colors)
     _color_factor(g, factor, f.prof.y_vertices, 4 * r + 1, colors)
     return _finish(g, colors, bound, "deg5-multiple")
@@ -376,7 +374,7 @@ def color_r_2r(g: Graph) -> ConstructionResult:
 def _color_r_2r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     r = f.prof.a
     k = r // 2
-    colors: dict[int, int] = {}
+    colors = [0] * g.edge_count
     if r % 2 == 0:
         for i, piece in enumerate(_split_classes(g, f.bip, k)):
             _color_part(g, piece, color_even_bipartite, colors, 4 * i)
@@ -410,12 +408,12 @@ def color_2_odd(g: Graph) -> ConstructionResult:
 
 
 def _color_2_odd(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
-    return _finish(g, dict(enumerate(f.cyclic)), bound, "two-odd-cyclic")
+    return _finish(g, f.cyclic, bound, "two-odd-cyclic")
 
 
 def _star_coloring(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     """Color a disjoint union of stars: each center's edges get 1..b."""
-    colors: dict[int, int] = {}
+    colors = [0] * g.edge_count
     for center in f.prof.y_vertices:
         for k, eid in enumerate(g.incidence[center]):
             colors[eid] = k + 1
@@ -423,7 +421,7 @@ def _star_coloring(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
 
 
 def _konig_result(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
-    return _finish(g, dict(konig_coloring(g, f.bip).color_of), bound, "konig")
+    return _finish(g, konig_coloring(g, f.bip), bound, "konig")
 
 
 def _is_complete_bipartite(g: Graph, prof: BiregularProfile) -> bool:
@@ -440,7 +438,7 @@ def _complete_on_graph(g: Graph, f: RouteFacts, bound: int) -> ConstructionResul
     vs = sorted(f.prof.x_vertices)
     u_index = {v: i + 1 for i, v in enumerate(us)}
     v_index = {v: j + 1 for j, v in enumerate(vs)}
-    colors = {}
+    colors = [0] * g.edge_count
     for eid, (p, q) in enumerate(g.edges):
         if p not in u_index:
             p, q = q, p
@@ -536,11 +534,16 @@ def _deg5_perfect_bound(f: RouteFacts) -> int | None:
     return 12 if regular or 2 * len(f.matching) == g.vertex_count else None
 
 
+# `color_auto` builds the applicable row with the smallest promised bound;
+# ties go to the row listed first.  It compares promises, not results, and
+# builds one row, so a row with a looser bound can give fewer palettes: on
+# gen_random_biregular(5, 9, 2, 0) `doubling` (bound 70) gives 22 and
+# `konig-biregular` (bound 127) would give 19.
+#
 # A row whose construction is a public builder that the benchmark's tracer
 # wraps (`color_even_bipartite`, `color_via_doubling`) calls it through a
 # lambda, which looks the module attribute up when the row runs, so the
-# tracer's rebinding is seen.  Every other row names its body.  The order
-# breaks ties.
+# tracer's rebinding is seen.  Every other row names its body.
 ROUTES: tuple[Route, ...] = (
     Route("grid", "m-by-n grid in the generator's labeling",
           lambda f: None if f.dims is None else grid_palette_value(*f.dims),
@@ -642,8 +645,9 @@ def _build_row(tag: str, g: Graph) -> ConstructionResult:
 
 
 def color_auto(g: Graph) -> ConstructionResult:
-    """Color g by the applicable route that promises the fewest palettes;
-    ties go to the route listed first in ROUTES."""
+    """Color g by the applicable route with the smallest promised bound;
+    ties go to the route listed first in ROUTES.  Only that route is built,
+    so a route with a looser promise may achieve fewer palettes."""
     if g.has_isolated_vertices():
         raise GraphError("isolated vertices are not allowed here")
     return _color_by_best_route(g, RouteFacts(g))

@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-from .coloring import EdgeColoring
 from .graph import SIDE_X, SIDE_Y, Bipartition, Graph, GraphError
 
 
@@ -241,7 +240,7 @@ def peel_perfect_matchings(g: Graph, bip: Bipartition) -> list[frozenset[int]]:
     if any(d != rounds for d in g.degrees):
         raise GraphError("graph is not regular")
     classes: list[set[int]] = [set() for _ in range(rounds)]
-    for eid, c in konig_coloring(g, bip).color_of.items():
+    for eid, c in enumerate(konig_coloring(g, bip)):
         classes[c - 1].add(eid)
     return [frozenset(cls) for cls in classes]
 
@@ -269,10 +268,10 @@ def swap_kempe_chain(at: list[list[int]], color: list[int], ends: list[int],
     return w
 
 
-def konig_coloring(g: Graph, bip: Bipartition) -> EdgeColoring:
-    """Proper edge coloring of a bipartite multigraph with exactly
-    max-degree many colors, so every maximum-degree vertex sees the full
-    palette 1..max degree.
+def konig_coloring(g: Graph, bip: Bipartition) -> list[int]:
+    """Colors, by edge id, of a proper edge coloring of a bipartite
+    multigraph with exactly max-degree many colors, so every maximum-degree
+    vertex sees the full palette 1..max degree.
 
     Kőnig's alternating-path proof: edges are colored in ascending id order.
     Edge uv, with u on side Y, takes the smallest color a free at u; when a
@@ -281,8 +280,7 @@ def konig_coloring(g: Graph, bip: Bipartition) -> EdgeColoring:
     enters u's side only by a-edges, and u has none, so it never reaches u.
     No padding to a regular graph is needed.
     """
-    _, color, _ = _konig_table(g.vertex_count, g.max_degree, g.edges, bip.side_of)
-    return EdgeColoring(dict(enumerate(color)))
+    return _konig_table(g.vertex_count, g.max_degree, g.edges, bip.side_of)[1]
 
 
 def _konig_table(vertex_count: int, delta: int,
@@ -371,8 +369,7 @@ def matching_covering_max_degree(g: Graph, bip: Bipartition) -> frozenset[int]:
     delta = g.max_degree
     if delta == 0:
         return frozenset()
-    coloring = konig_coloring(g, bip)
-    class1 = [eid for eid, c in coloring.color_of.items() if c == 1]
+    class1 = [eid for eid, c in enumerate(konig_coloring(g, bip)) if c == 1]
     kept = [eid for eid in class1
             if g.degrees[g.edges[eid][0]] == delta
             or g.degrees[g.edges[eid][1]] == delta]

@@ -11,26 +11,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring, palette_summary
+from .coloring import palette_summary
 from .graph import Graph, GraphError
-
-
-@dataclass(frozen=True)
-class SearchLimits:
-    max_nodes: int | None = None
-    max_seconds: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("max_nodes", "max_seconds"):
-            val = getattr(self, name)
-            if val is not None and not val > 0:  # NaN is not > 0 either
-                raise ValueError(f"{name} must be positive, got {val}")
 
 
 @dataclass
 class PaletteIndexResult:
     value: int
-    witness: EdgeColoring
+    witness: list[int]  # a coloring, by edge id, with `value` palettes
     proved: bool  # False when a budget stopped the search
     nodes: int
 
@@ -42,8 +30,8 @@ def _check_solver_input(g: Graph) -> None:
         raise GraphError("isolated vertices are not allowed here")
 
 
-def palette_index_exact(g: Graph,
-                        limits: SearchLimits | None = None) -> PaletteIndexResult:
+def palette_index_exact(g: Graph, max_nodes: int | None = None,
+                        max_seconds: float | None = None) -> PaletteIndexResult:
     """Minimum number of distinct palettes over all proper edge colorings,
     with a witness coloring attaining it.
 
@@ -58,11 +46,13 @@ def palette_index_exact(g: Graph,
     lex-leader constraint.  When a budget runs out the best coloring found
     so far is returned with proved=False.
     """
-    limits = limits or SearchLimits()
+    for name, val in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
+        if val is not None and not val > 0:  # NaN is not > 0 either
+            raise ValueError(f"{name} must be positive, got {val}")
     _check_solver_input(g)
     m = g.edge_count
     if m == 0:
-        return PaletteIndexResult(0, EdgeColoring({}), True, 0)
+        return PaletteIndexResult(0, [], True, 0)
 
     degs = g.degrees
     global_lb = len(set(degs))  # palettes of different sizes differ
@@ -94,9 +84,7 @@ def palette_index_exact(g: Graph,
     entry_distinct = [0] * m
     changed = [0] * m
     nodes = 0
-    deadline = (time.monotonic() + limits.max_seconds
-                if limits.max_seconds is not None else None)
-    max_nodes = limits.max_nodes
+    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     out_of_budget = False
 
     def freeze(w: int) -> int:
@@ -221,8 +209,11 @@ def palette_index_exact(g: Graph,
                               not out_of_budget, nodes)
 
 
-def _witness(order: list[int], assign: list[int]) -> EdgeColoring:
-    return EdgeColoring({eid: assign[pos] + 1 for pos, eid in enumerate(order)})
+def _witness(order: list[int], assign: list[int]) -> list[int]:
+    colors = [0] * len(order)
+    for eid, block in zip(order, assign):
+        colors[eid] = block + 1
+    return colors
 
 
 def _saturation_order(g: Graph) -> list[int]:

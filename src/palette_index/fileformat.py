@@ -17,7 +17,8 @@ parsing colorings so a stream carrying a trailing summary re-parses cleanly.
 
 from __future__ import annotations
 
-from .coloring import EdgeColoring
+from collections.abc import Sequence
+
 from .graph import Graph
 
 
@@ -68,15 +69,16 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, tuple(edges))  # checked edge by edge above, as build_graph would
 
 
-def serialize_coloring(c: EdgeColoring, distinct_palettes: int) -> str:
-    lines = [f"s {c.colors_used()} {distinct_palettes}"]
-    lines.extend(f"c {eid + 1} {c.color_of[eid]}" for eid in sorted(c.color_of))
+def serialize_coloring(colors: Sequence[int], distinct_palettes: int) -> str:
+    lines = [f"s {len(set(colors))} {distinct_palettes}"]
+    lines.extend(f"c {eid} {col}" for eid, col in enumerate(colors, start=1))
     return "\n".join(lines) + "\n"
 
 
-def parse_coloring(text: str) -> tuple[EdgeColoring, tuple[int, int]]:
-    """Parse a coloring stream; returns the coloring and the (colors_used,
-    distinct_palettes) header pair as written."""
+def parse_coloring(text: str, edge_count: int) -> tuple[list[int], tuple[int, int]]:
+    """Parse a coloring stream of a graph with `edge_count` edges; returns
+    the colors by edge id and the (colors_used, distinct_palettes) header
+    pair as written.  Every edge must be colored, and only those edges."""
     header: tuple[int, int] | None = None
     colors: dict[int, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -104,9 +106,15 @@ def parse_coloring(text: str) -> tuple[EdgeColoring, tuple[int, int]]:
             raise FormatError(f"line {ln}: edge index must be positive")
         if col < 1:
             raise FormatError(f"line {ln}: colors must be positive")
-        if eid - 1 in colors:
+        if eid in colors:
             raise FormatError(f"line {ln}: edge {eid} colored twice")
-        colors[eid - 1] = col
+        colors[eid] = col
     if header is None:
         raise FormatError("line 1: missing header")
-    return EdgeColoring(colors), header
+    missing = next((eid for eid in range(1, edge_count + 1) if eid not in colors), None)
+    if missing is not None:
+        raise FormatError(f"partial coloring: edge {missing} has no color")
+    if len(colors) > edge_count:  # every edge is colored, so one id is stray
+        stray = min(eid for eid in colors if eid > edge_count)
+        raise FormatError(f"edge {stray} is colored, but the graph has {edge_count} edges")
+    return [colors[eid] for eid in range(1, edge_count + 1)], header

@@ -3,8 +3,8 @@
 Vertices are dense integers ``0..vertex_count-1``.  Edges are an ordered
 tuple of endpoint pairs; the position of a pair in that tuple is the edge's
 stable id for the lifetime of the value.  The container is a multigraph:
-parallel edges are always representable; ``build_graph`` accepts loops
-only when called with ``loop_allowed=True``.
+parallel edges and loops are representable; ``build_graph`` checks the
+endpoints and rejects loops.
 """
 
 from __future__ import annotations
@@ -120,17 +120,14 @@ class Component:
     edge_ids: tuple[int, ...]  # local edge -> host edge
 
 
-def build_graph(
-    vertex_count: int,
-    edges: list[tuple[int, int]] | tuple[tuple[int, int], ...],
-    loop_allowed: bool = False,
-) -> Graph:
+def build_graph(vertex_count: int,
+                edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Graph:
     if vertex_count < 0:
         raise GraphError(f"negative vertex count {vertex_count}")
     for eid, (u, v) in enumerate(edges):
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise GraphError(f"edge {eid} endpoint out of range: ({u}, {v})")
-        if u == v and not loop_allowed:
+        if u == v:
             raise GraphError(f"edge {eid} is a loop at {u} but loops are not allowed")
     return Graph(vertex_count, tuple((u, v) for u, v in edges))
 

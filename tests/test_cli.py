@@ -66,8 +66,8 @@ def test_color_stdout_stream_reparses(capsys, tmp_path):
     gpath = write_graph(tmp_path, gen_complete_bipartite(2, 4))
     code, out, _ = run_cli(capsys, "color", gpath)
     assert code == 0
-    coloring, _ = parse_coloring(out)  # summary line is tolerated
-    assert len(coloring.color_of) == 8
+    coloring, _ = parse_coloring(out, 8)  # summary line is tolerated
+    assert len(coloring) == 8
 
 
 def test_color_two_odd_on_many_components_keeps_the_recursion_limit(capsys, tmp_path):
@@ -326,9 +326,9 @@ _JUNK = st.text(max_size=40).filter(lambda t: not re.search(r"[\d_]{3}", t))
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.one_of(st.text(), _FORMAT_LIKE))
-def test_parsers_raise_only_format_errors(text):
-    for parse in (parse_graph, parse_coloring):
+@given(st.one_of(st.text(), _FORMAT_LIKE), st.integers(0, 9))
+def test_parsers_raise_only_format_errors(text, edge_count):
+    for parse in (parse_graph, lambda t: parse_coloring(t, edge_count)):
         try:
             parse(text)
         except (FormatError, GraphError):

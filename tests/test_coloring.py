@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palette_index.coloring import (ColoringError, EdgeColoring,
-                                    PaletteSummary, palette_summary,
-                                    verify_proper)
+from palette_index.coloring import (ColoringError, PaletteSummary,
+                                    palette_summary, verify_proper)
 from palette_index.decompose import konig_coloring
-from palette_index.graph import bipartition, build_graph, gen_complete_bipartite
+from palette_index.graph import (Graph, bipartition, build_graph,
+                                 gen_complete_bipartite)
 
 
 def c4():
@@ -16,11 +16,11 @@ def c4():
 
 
 def test_verify_proper_alternating_c4():
-    assert verify_proper(c4(), EdgeColoring({0: 1, 1: 2, 2: 1, 3: 2})) == []
+    assert verify_proper(c4(), [1, 2, 1, 2]) == []
 
 
 def test_verify_proper_bad_c4():
-    violations = verify_proper(c4(), EdgeColoring({0: 1, 1: 1, 2: 2, 3: 2}))
+    violations = verify_proper(c4(), [1, 1, 2, 2])
     assert len(violations) == 2
     assert {(v.vertex, tuple(sorted((v.edge_a, v.edge_b)))) for v in violations} \
         == {(1, (0, 1)), (3, (2, 3))}
@@ -28,22 +28,22 @@ def test_verify_proper_bad_c4():
 
 def test_verify_proper_k3_rainbow():
     k3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert verify_proper(k3, EdgeColoring({0: 1, 1: 2, 2: 3})) == []
+    assert verify_proper(k3, [1, 2, 3]) == []
 
 
 def test_verify_rejects_partial():
     with pytest.raises(ColoringError):
-        verify_proper(c4(), EdgeColoring({0: 1}))
+        verify_proper(c4(), [1])
 
 
 def test_verify_rejects_nonpositive_color():
     with pytest.raises(ColoringError):
-        verify_proper(c4(), EdgeColoring({0: 0, 1: 1, 2: 2, 3: 3}))
+        verify_proper(c4(), [0, 1, 2, 3])
 
 
 def test_palette_summary_c5():
     c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    summary = palette_summary(c5, EdgeColoring({0: 1, 1: 2, 2: 1, 3: 2, 4: 3}))
+    summary = palette_summary(c5, [1, 2, 1, 2, 3])
     assert summary.distinct == 3
     assert summary.palette_of[0] == frozenset({1, 3})
     assert sum(summary.multiplicity.values()) == 5
@@ -56,13 +56,13 @@ def test_palette_summary_konig_regular():
 
 def test_palette_summary_star_all_distinct():
     star = gen_complete_bipartite(1, 3)
-    summary = palette_summary(star, EdgeColoring({0: 1, 1: 2, 2: 3}))
+    summary = palette_summary(star, [1, 2, 3])
     assert summary.distinct == 4
 
 
 def test_palette_summary_rejects_improper():
     with pytest.raises(ColoringError):
-        palette_summary(c4(), EdgeColoring({0: 1, 1: 1, 2: 2, 3: 2}))
+        palette_summary(c4(), [1, 1, 2, 2])
 
 
 def reference_summary(g, c):
@@ -73,8 +73,8 @@ def reference_summary(g, c):
         first = bad[0]
         raise ColoringError(
             f"improper coloring: vertex {first.vertex} sees color "
-            f"{c.color_of[first.edge_a]} on edges {first.edge_a} and {first.edge_b}")
-    palettes = tuple(frozenset(c.color_of[eid] for eid in g.incidence[v])
+            f"{c[first.edge_a]} on edges {first.edge_a} and {first.edge_b}")
+    palettes = tuple(frozenset(c[eid] for eid in g.incidence[v])
                      for v in range(g.vertex_count))
     multiplicity = {}
     for p in palettes:
@@ -84,29 +84,29 @@ def reference_summary(g, c):
 
 @st.composite
 def colored_multigraphs(draw):
-    """Multigraphs, with loops when built to allow them, and colorings that
-    are proper, improper, partial, non-positive or carry extra keys."""
+    """Multigraphs, with loops or without, and colorings that are proper,
+    improper, non-positive (zero for an edge left uncolored) or of the wrong
+    length."""
     n = draw(st.integers(1, 6))
     loops = draw(st.booleans())
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = draw(st.lists(pair if loops else pair.filter(lambda e: e[0] != e[1]),
                           max_size=10))
-    g = build_graph(n, edges, loop_allowed=loops)
+    g = Graph(n, tuple(edges))
     if draw(st.booleans()):
         # greedy: the smallest color free at both ends, proper unless a loop
         seen = [set() for _ in range(n)]
-        colors = {}
-        for eid, (u, v) in enumerate(edges):
-            colors[eid] = min(set(range(1, 2 * len(edges) + 2)) - seen[u] - seen[v])
-            seen[u].add(colors[eid])
-            seen[v].add(colors[eid])
+        colors = []
+        for u, v in edges:
+            colors.append(min(set(range(1, 2 * len(edges) + 2)) - seen[u] - seen[v]))
+            seen[u].add(colors[-1])
+            seen[v].add(colors[-1])
     else:
-        drawn = draw(st.lists(st.one_of(st.none(), st.integers(-1, 4)),
-                              min_size=len(edges), max_size=len(edges)))
-        colors = {eid: col for eid, col in enumerate(drawn) if col is not None}
-    outside = st.one_of(st.integers(-3, -1), st.integers(len(edges), len(edges) + 3))
-    colors.update(draw(st.dictionaries(outside, st.integers(-1, 4), max_size=2)))
-    return g, EdgeColoring(colors)
+        colors = draw(st.lists(st.integers(-1, 4),
+                               min_size=len(edges), max_size=len(edges)))
+    resize = draw(st.sampled_from((0, 0, 0, -1, 1)))  # now and then a wrong length
+    colors = colors[:len(colors) + resize] if resize < 0 else colors + [1] * resize
+    return g, colors
 
 
 def summary_or_error(summarize, g, c):
@@ -124,19 +124,19 @@ def test_palette_summary_matches_the_two_walk_reference(case):
 
 
 @pytest.mark.parametrize("colors, message", [
-    ({0: 1, 2: 2, 3: 2}, "partial coloring: edge 1 has no color"),
-    ({0: 1, 1: 0, 2: 2, 3: 2}, "edge 1 has non-positive color 0"),
-    ({0: 1, 1: 2, 2: 1, 3: -2}, "edge 3 has non-positive color -2"),
-    ({0: 1, 1: 1, 2: 2, 3: 2}, "improper coloring: vertex 1 sees color 1 on edges 0 and 1"),
+    ([1, 2, 2], "coloring lists 3 edges, but the graph has 4"),
+    ([1, 0, 2, 2], "edge 1 has non-positive color 0"),
+    ([1, 2, 1, -2], "edge 3 has non-positive color -2"),
+    ([1, 1, 2, 2], "improper coloring: vertex 1 sees color 1 on edges 0 and 1"),
 ])
 def test_palette_summary_error_messages(colors, message):
     with pytest.raises(ColoringError) as err:
-        palette_summary(c4(), EdgeColoring(colors))
+        palette_summary(c4(), colors)
     assert str(err.value) == message
 
 
 def test_palette_summary_rejects_a_loop():
-    g = build_graph(2, [(0, 1), (1, 1)], loop_allowed=True)
+    g = Graph(2, ((0, 1), (1, 1)))
     with pytest.raises(ColoringError) as err:
-        palette_summary(g, EdgeColoring({0: 1, 1: 2}))
+        palette_summary(g, [1, 2])
     assert str(err.value) == "improper coloring: vertex 1 sees color 2 on edges 1 and 1"

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palette_index import decompose
-from palette_index.coloring import palette_summary
+from palette_index import constructions, decompose
+from palette_index.coloring import ColoringError, palette_summary
 from palette_index.constructions import (ROUTES, RouteFacts, color_2_odd,
                                          color_3_3r, color_3_5, color_4_4r,
                                          color_5_5r, color_auto,
@@ -115,7 +115,7 @@ def reference_even_pairs_colors(g):
                     break
                 eid = nxt[0]
             assert cur == v0
-    return colors
+    return [colors[eid] for eid in range(m)]
 
 
 def even_bipartite_multigraph(delta, rng):
@@ -161,7 +161,7 @@ def test_even_bipartite_cycles_match_the_hand_walk(delta):
     graphs.append(gen_random_biregular(2, delta, 800 // delta, 1))
     padding, two_cycles = set(), 0
     for k, g in enumerate(graphs):
-        assert color_even_bipartite(g).coloring.color_of == \
+        assert color_even_bipartite(g).coloring == \
             reference_even_pairs_colors(g), (delta, k)
         padding |= {(g.max_degree - d) // 2 for d in g.degrees}
         two_cycles += sum(len(c) == 2 for cycles in factor_cycles(g) for c in cycles)
@@ -175,7 +175,7 @@ def test_even_family_cycles_match_the_hand_walk(a, b):
     for scale in (1, 2, 3):
         for seed in range(4):
             g = gen_random_biregular(a, b, scale, seed)
-            assert color_even_bipartite(g).coloring.color_of == \
+            assert color_even_bipartite(g).coloring == \
                 reference_even_pairs_colors(g), (scale, seed)
 
 
@@ -359,7 +359,7 @@ def test_grid_colors_match_the_reference_patterns(m):
         g = gen_grid(m, n)
         table = reference_grid_colors(m, n)
         assert len(table) == g.edge_count
-        got = color_grid(m, n).coloring.color_of
+        got = color_grid(m, n).coloring
         for eid, (u, v) in enumerate(g.edges):
             u, v = min(u, v), max(u, v)
             assert got[eid] == table[((u // n + 1, u % n + 1), (v // n + 1, v % n + 1))], \
@@ -383,8 +383,9 @@ def test_complete_bipartite_colors_match_the_reference_table():
     for a in range(1, 17):
         for b in range(a + 1, 17):
             table = reference_complete_bipartite_colors(a, b)
-            got = color_complete_bipartite(a, b).coloring.color_of
-            assert got == {(i - 1) * b + (j - 1): c for (i, j), c in table.items()}, (a, b)
+            got = color_complete_bipartite(a, b).coloring
+            assert got == [table[divmod(eid, b)[0] + 1, eid % b + 1]
+                           for eid in range(a * b)], (a, b)
 
 
 @pytest.mark.parametrize("a,b", [(1, 4), (2, 3), (2, 6), (3, 5), (4, 6), (3, 9),
@@ -400,7 +401,7 @@ def test_complete_bipartite_on_relabeled_graphs_follows_the_closed_form(a, b):
     small = sorted(labels[:a])  # the a vertices of degree b
     big = sorted(labels[a:])
     d = math.gcd(a, b)
-    got = color_complete_bipartite_on(g).coloring.color_of
+    got = color_complete_bipartite_on(g).coloring
     for eid, (p, q) in enumerate(g.edges):
         if p not in small:
             p, q = q, p
@@ -447,6 +448,21 @@ def test_3_3r_k36():
 def test_3_3r_random_instances():
     assert color_3_3r(gen_random_biregular(3, 9, 2, 4)).palettes <= 10
     assert color_3_3r(gen_random_biregular(6, 9, 2, 4)).palettes <= 10
+
+
+def test_finish_rejects_an_edge_a_builder_left_uncolored(monkeypatch):
+    # the (3,3r) row colors its factor last; skip one factor edge, which
+    # keeps the 0 its builder's list starts with
+    real, missed = constructions._color_factor, []
+
+    def miss_one(g, factor, big_side, first, colors):
+        missed.append(min(factor))
+        real(g, factor - {missed[0]}, big_side, first, colors)
+
+    monkeypatch.setattr(constructions, "_color_factor", miss_one)
+    with pytest.raises(ColoringError) as err:
+        color_3_3r(gen_random_biregular(3, 9, 2, 4))
+    assert str(err.value) == f"edge {missed[0]} has non-positive color 0"
 
 
 def test_4_4r_instances():
@@ -542,8 +558,7 @@ def test_2_odd_colors_are_pinned_across_python_versions(monkeypatch):
     # budget of one step per edge allows, so a change in the rng's stream
     # moves the digest
     g = gen_random_biregular(2, 13, 5, 2)
-    colors = color_2_odd(g).coloring.color_of
-    text = " ".join(str(colors[eid]) for eid in range(g.edge_count))
+    text = " ".join(map(str, color_2_odd(g).coloring))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "cdc37930fdd97121800395be3736f61b5a5fb8af12dca998742740a09a509f43")
     monkeypatch.setattr(decompose, "_REPAIR_STEPS_PER_EDGE", 1)

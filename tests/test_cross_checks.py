@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from palette_index.analysis import palette_lower_bound, upper_bound_catalog
-from palette_index.coloring import EdgeColoring, verify_proper
+from palette_index.coloring import verify_proper
 from palette_index.constructions import (color_auto, color_biregular_auto,
                                          color_grid)
 from palette_index.decompose import konig_coloring
@@ -56,6 +56,5 @@ def test_closure_restriction_is_proper():
     closure = even_closure(g)
     assert closure.edges[:g.edge_count] == g.edges  # copy 1 keeps the edge ids
     coloring = konig_coloring(closure, bipartition(closure))
-    restricted = EdgeColoring({eid: coloring.color_of[eid]
-                               for eid in range(g.edge_count)})
+    restricted = coloring[:g.edge_count]
     assert not verify_proper(g, restricted)

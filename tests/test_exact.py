@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palette_index.coloring import EdgeColoring, palette_summary, verify_proper
-from palette_index.exact import (SearchLimits, palette_index_exact,
-                                 palette_index_naive)
+from palette_index.coloring import palette_summary, verify_proper
+from palette_index.exact import palette_index_exact, palette_index_naive
 from palette_index.graph import (GraphError, build_graph,
                                  gen_complete_bipartite, gen_grid,
                                  gen_random_biregular, without_isolated)
@@ -54,14 +53,14 @@ def test_palette_index_rejects_isolated():
 
 def test_palette_index_node_budget_flags_result():
     g = gen_grid(3, 3)
-    result = palette_index_exact(g, SearchLimits(max_nodes=5))
+    result = palette_index_exact(g, max_nodes=5)
     assert not result.proved
     assert palette_summary(g, result.witness).distinct == result.value
 
 
 def test_search_limits_validation():
-    with pytest.raises(ValueError):
-        SearchLimits(max_nodes=0)
+    with pytest.raises(ValueError, match="max_nodes must be positive, got 0"):
+        palette_index_exact(gen_grid(3, 3), max_nodes=0)
 
 
 @pytest.mark.parametrize("seconds", [float("nan"), 0.0, -1.0])
@@ -69,7 +68,7 @@ def test_search_limits_refuse_a_wall_budget_that_is_not_positive(seconds):
     # NaN compares False both ways, so a `<= 0` test would let it through
     # and the deadline would never fire
     with pytest.raises(ValueError, match="max_seconds must be positive"):
-        SearchLimits(max_seconds=seconds)
+        palette_index_exact(gen_grid(3, 3), max_seconds=seconds)
 
 
 def test_regular_class2_never_two():
@@ -119,8 +118,7 @@ def test_vertices_with_parallel_edges_are_not_twins():
 
 
 def test_palette_index_k46_is_proved_within_the_budget():
-    result = palette_index_exact(gen_complete_bipartite(4, 6),
-                                 SearchLimits(max_nodes=300_000))
+    result = palette_index_exact(gen_complete_bipartite(4, 6), max_nodes=300_000)
     assert result.value == 4 and result.proved
 
 
@@ -128,7 +126,7 @@ def test_palette_index_budget_on_1280_edges_keeps_the_recursion_limit():
     g = gen_random_biregular(4, 8, 40, 1)
     assert g.edge_count == 1280
     limit = sys.getrecursionlimit()
-    result = palette_index_exact(g, SearchLimits(max_nodes=5000))
+    result = palette_index_exact(g, max_nodes=5000)
     assert sys.getrecursionlimit() == limit
     assert not result.proved and result.nodes == 5001
     assert not verify_proper(g, result.witness)
@@ -146,7 +144,9 @@ def test_palette_value_at_most_any_proper_coloring(g):
     for eid, (u, v) in enumerate(g.edges):
         multi.add_edge(u, v, key=eid)
     greedy = nx.greedy_color(nx.line_graph(multi))
-    coloring = EdgeColoring({node[2]: c + 1 for node, c in greedy.items()})
+    coloring = [0] * g.edge_count
+    for (_, _, eid), c in greedy.items():
+        coloring[eid] = c + 1
     value = palette_index_exact(g).value
     assert value <= palette_summary(g, coloring).distinct
     assert value >= len(g.degree_set())

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pytest
 
-from palette_index.coloring import EdgeColoring
 from palette_index.fileformat import (FormatError, parse_coloring, parse_graph,
                                       serialize_coloring, serialize_graph)
 from palette_index.graph import build_graph, gen_grid
@@ -49,27 +48,42 @@ def test_parse_graph_rejects_loop():
 
 
 def test_coloring_roundtrip():
-    c = EdgeColoring({0: 1, 1: 2, 2: 1})
-    text = serialize_coloring(c, 3)
-    parsed, header = parse_coloring(text)
-    assert parsed.color_of == c.color_of
-    assert header == (2, 3)
+    colors = [1, 2, 1]
+    text = serialize_coloring(colors, 3)
+    assert text == "s 2 3\nc 1 1\nc 2 2\nc 3 1\n"
+    assert parse_coloring(text, 3) == (colors, (2, 3))
+
+
+def test_parse_coloring_takes_lines_in_any_order():
+    assert parse_coloring("s 3 3\nc 3 2\nc 1 3\nc 2 1\n", 3) == ([3, 1, 2], (3, 3))
 
 
 def test_parse_coloring_tolerates_summary_line():
     text = "s 2 3\nc 1 1\nc 2 2\npalettes=3 bound=3 theorem=grid\n"
-    parsed, _ = parse_coloring(text)
-    assert parsed.color_of == {0: 1, 1: 2}
+    parsed, _ = parse_coloring(text, 2)
+    assert parsed == [1, 2]
 
 
 def test_parse_coloring_duplicate_edge():
     with pytest.raises(FormatError, match="colored twice"):
-        parse_coloring("s 1 1\nc 1 1\nc 1 2\n")
+        parse_coloring("s 1 1\nc 1 1\nc 1 2\n", 1)
 
 
 def test_parse_coloring_rejects_nonpositive_color():
     with pytest.raises(FormatError, match="positive"):
-        parse_coloring("s 1 1\nc 1 0\n")
+        parse_coloring("s 1 1\nc 1 0\n", 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("s 1 2\nc 1 1\n", "partial coloring: edge 2 has no color"),
+    ("s 1 2\nc 3 1\nc 1 1\n", "partial coloring: edge 2 has no color"),
+    ("s 2 3\nc 1 1\nc 9 1\nc 2 2\nc 7 1\n", "edge 7 is colored, but the graph has 2 edges"),
+    ("", "line 1: missing header"),
+])
+def test_parse_coloring_names_a_missing_or_stray_edge_1_based(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_coloring(text, 2)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("text, message", [

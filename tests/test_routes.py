@@ -132,7 +132,7 @@ def test_a_public_builder_is_its_row(builder, tag, g):
     route = route_bounds(RouteFacts(g))[0][0]
     assert route.tag == tag
     auto, direct = color_auto(g), builder(g)
-    assert direct.coloring.color_of == auto.coloring.color_of
+    assert direct.coloring == auto.coloring
     assert ((direct.palettes, direct.claimed_palette_bound, direct.theorem_tag)
             == (auto.palettes, auto.claimed_palette_bound, auto.theorem_tag))
     off_row = gen_complete_bipartite(3, 4) if tag == "grid" else gen_grid(3, 4)
