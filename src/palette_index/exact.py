@@ -45,6 +45,20 @@ def palette_index_exact(g: Graph, max_nodes: int | None = None,
     vertices (same neighbours, no parallel edges) are ordered by a
     lex-leader constraint.  When a budget runs out the best coloring found
     so far is returned with proved=False.
+
+    The search is one flat loop.  Per vertex it keeps `pal`, the bitmask of
+    blocks at it, and `rem`, its edges not yet colored; a vertex is frozen
+    (saturated) once `rem` is 0.  `frozen` maps, per degree, each frozen
+    palette mask to the number of frozen vertices with it, and `missing`
+    counts the degrees with no frozen vertex yet.  Per depth it keeps the
+    blocks still to try, the block taken, and the distinct and opened-block
+    counts on entry.  Undo rule: taking a block sets it in both palettes,
+    lowers both `rem` and freezes each end whose `rem` reaches 0, so undoing
+    it unfreezes exactly the ends whose `rem` is 0 before restoring the
+    rest; a refused block and a backtrack share this one undo.  Nodes are
+    counted on entry, in first-use block order; tests pin the node count
+    and the witness on fixed graphs, which guards that order and the place
+    where a budget cuts the tree.
     """
     for name, val in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
         if val is not None and not val > 0:  # NaN is not > 0 either
@@ -74,136 +88,145 @@ def palette_index_exact(g: Graph, max_nodes: int | None = None,
 
     rem = list(degs)  # uncolored incident edges per vertex
     pal = [0] * g.vertex_count  # block-index bitmask per vertex
-    # per degree d: palette mask -> count of saturated degree-d vertices
-    frozen: list[dict[int, int]] = [{} for _ in range(g.max_degree + 1)]
+    # frozen[w] is the map of w's degree, shared by every vertex of that
+    # degree: palette mask -> count of saturated vertices with it
+    by_degree: dict[int, dict[int, int]] = {d: {} for d in degs}
+    frozen = [by_degree[d] for d in degs]
     missing = global_lb  # degrees no saturated vertex has yet
-    # per depth: blocks still to try, block taken, distinct count on entry,
-    # and what the step changed (1: u froze, 2: v froze, 4: opened a block)
+    # per depth: blocks still to try, block taken, and the distinct count
+    # and opened-block count on entry
     todo = [0] * m
     taken = [0] * m
     entry_distinct = [0] * m
-    changed = [0] * m
+    entry_count = [0] * m
     nodes = 0
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     out_of_budget = False
 
-    def freeze(w: int) -> int:
-        nonlocal missing
-        palettes = frozen[degs[w]]
-        key = pal[w]
-        seen = palettes.get(key, 0)
-        if not palettes:
-            missing -= 1
-        palettes[key] = seen + 1
-        return 0 if seen else 1
-
-    def unfreeze(w: int) -> None:
-        nonlocal missing
-        palettes = frozen[degs[w]]
-        key = pal[w]
-        if palettes[key] == 1:
-            del palettes[key]
-            if not palettes:
-                missing += 1
-        else:
-            palettes[key] -= 1
-
-    def forces_new_palette(w: int) -> bool:
-        # w is unsaturated and its degree is already represented, so unless
-        # a frozen palette of its size extends pal[w], its palette is new
-        palettes = frozen[degs[w]]
-        if not palettes:
-            return False
-        pw = pal[w]
-        return all(key & pw != pw for key in palettes)
-
     depth = 0
     distinct = 0
     count = 0  # blocks opened so far
-    descend = True
-    while True:
-        if descend:
-            if depth == m:
-                # every vertex is saturated, and the bound let only a
-                # strictly better partition through
-                best_value, best_assign = distinct, taken.copy()
-                if best_value <= global_lb:
-                    break
+    while depth >= 0:
+        # enter the node at `depth`
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            out_of_budget = True
+            break
+        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+            out_of_budget = True
+            break
+        u, v = ends[depth]
+        # an open block, or the first unopened one (first-use order)
+        free = ~(pal[u] | pal[v]) & ((2 << count) - 1)
+        for p in above[depth]:
+            free &= -(2 << taken[p])
+        entry_distinct[depth] = distinct
+        entry_count[depth] = count
+        bit = 0
+        while True:
+            if bit:
+                # undo block `bit` on edge uv: an end with no uncolored edge
+                # left froze when the block was added
+                r = rem[u]
+                key = pal[u]
+                if not r:
+                    palettes = frozen[u]
+                    seen = palettes[key]
+                    if seen > 1:
+                        palettes[key] = seen - 1
+                    else:
+                        del palettes[key]
+                        if not palettes:
+                            missing += 1
+                pal[u] = key ^ bit
+                rem[u] = r + 1
+                r = rem[v]
+                key = pal[v]
+                if not r:
+                    palettes = frozen[v]
+                    seen = palettes[key]
+                    if seen > 1:
+                        palettes[key] = seen - 1
+                    else:
+                        del palettes[key]
+                        if not palettes:
+                            missing += 1
+                pal[v] = key ^ bit
+                rem[v] = r + 1
+            if not free:
+                # backtrack: undo the block taken one level up, try its next
                 depth -= 1
-                descend = False
+                if depth < 0:
+                    break
+                u, v = ends[depth]
+                free = todo[depth]
+                bit = 1 << taken[depth]
+                distinct = entry_distinct[depth]
+                count = entry_count[depth]
                 continue
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                out_of_budget = True
-                break
-            if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-                out_of_budget = True
-                break
-            u, v = ends[depth]
-            # an open block, or the first unopened one (first-use order)
-            free = ~(pal[u] | pal[v]) & ((2 << count) - 1)
-            for p in above[depth]:
-                free &= -(2 << taken[p])
-            entry_distinct[depth] = distinct
-        else:
-            u, v = ends[depth]
-            step = changed[depth]
-            if step & 2:
-                unfreeze(v)
-            if step & 1:
-                unfreeze(u)
-            if step & 4:
-                count -= 1
-            bit = 1 << taken[depth]
-            pal[u] ^= bit
-            pal[v] ^= bit
-            rem[u] += 1
-            rem[v] += 1
-            distinct = entry_distinct[depth]
-            free = todo[depth]
-        descend = False
-        while free:
             bit = free & -free
             free ^= bit
-            pal[u] |= bit
-            pal[v] |= bit
-            rem[u] -= 1
-            rem[v] -= 1
-            step = 0
             new_distinct = distinct
-            if rem[u] == 0:
-                new_distinct += freeze(u)
-                step = 1
-            if rem[v] == 0:
-                new_distinct += freeze(v)
-                step |= 2
+            key = pal[u] | bit
+            pal[u] = key
+            r = rem[u] - 1
+            rem[u] = r
+            if not r:
+                palettes = frozen[u]
+                seen = palettes.get(key)
+                if seen:
+                    palettes[key] = seen + 1
+                else:
+                    new_distinct += 1
+                    if not palettes:
+                        missing -= 1
+                    palettes[key] = 1
+            key = pal[v] | bit
+            pal[v] = key
+            r = rem[v] - 1
+            rem[v] = r
+            if not r:
+                palettes = frozen[v]
+                seen = palettes.get(key)
+                if seen:
+                    palettes[key] = seen + 1
+                else:
+                    new_distinct += 1
+                    if not palettes:
+                        missing -= 1
+                    palettes[key] = 1
             slack = best_value - new_distinct - missing
-            if slack > 1 or (slack == 1
-                             and not (rem[u] and forces_new_palette(u))
-                             and not (rem[v] and forces_new_palette(v))):
+            if slack < 1:
+                continue
+            # at slack 1, an unsaturated end of a represented degree refuses
+            # the block when no frozen palette of its size extends its own
+            for w in (u, v) if slack == 1 else ():
+                palettes = frozen[w]
+                if rem[w] and palettes:
+                    pw = pal[w]
+                    for key in palettes:
+                        if key & pw == pw:
+                            break
+                    else:
+                        break  # w's palette would be one palette too many
+            else:
+                # no end refused it: take the block
                 b = bit.bit_length() - 1
+                taken[depth] = b
+                if depth + 1 == m:
+                    # every vertex is saturated, and the bound let only a
+                    # strictly better partition through
+                    best_value, best_assign = new_distinct, taken.copy()
+                    if best_value <= global_lb:
+                        depth = -1
+                        break
+                    continue
                 if b == count:
                     count += 1
-                    step |= 4
                 todo[depth] = free
-                taken[depth] = b
-                changed[depth] = step
                 distinct = new_distinct
                 depth += 1
-                descend = True
                 break
-            if step & 2:
-                unfreeze(v)
-            if step & 1:
-                unfreeze(u)
-            pal[u] ^= bit
-            pal[v] ^= bit
-            rem[u] += 1
-            rem[v] += 1
-        if not descend:
-            if depth == 0:
-                break
-            depth -= 1
 
     return PaletteIndexResult(best_value, _witness(order, best_assign),
                               not out_of_budget, nodes)

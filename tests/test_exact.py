@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import sys
 
 import pytest
@@ -131,6 +132,70 @@ def test_palette_index_budget_on_1280_edges_keeps_the_recursion_limit():
     assert not result.proved and result.nodes == 5001
     assert not verify_proper(g, result.witness)
     assert palette_summary(g, result.witness).distinct == result.value >= 3
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, outer + spokes + inner)
+
+
+def digest(witness):
+    return hashlib.sha256(",".join(map(str, witness)).encode()).hexdigest()
+
+
+PINNED_GRAPHS = {
+    "grid3x5": lambda: gen_grid(3, 5),
+    "k3-4": lambda: gen_complete_bipartite(3, 4),
+    "k3-5": lambda: gen_complete_bipartite(3, 5),
+    "petersen": petersen,
+    "k4-6": lambda: gen_complete_bipartite(4, 6),
+    "b4-8x40": lambda: gen_random_biregular(4, 8, 40, 1),
+}
+
+
+@pytest.mark.parametrize("name, max_nodes, value, proved, nodes, witness_sha", [
+    ("grid3x5", None, 5, True, 9147,
+     "e9e0d2bfce3648ee2d7247aaa415e4e7971ec83dce9baf4c78326181b8d4e0fc"),
+    ("k3-4", None, 5, True, 976,
+     "aaea7df89bc1d2a34d259c72988a15f5e215672174e7c54a66f46e1c5a676b4e"),
+    ("k3-5", None, 5, True, 3018,
+     "235db128dbd42696ad5598494b27b7da776cfda4f0cbb11740bacd26c9717ccd"),
+    ("petersen", None, 3, True, 433,
+     "a613dd9952f9a284515d3e6a0d5abc97ae9a33c34c58ce515e5fa633cc60e2d5"),
+    ("k4-6", 300_000, 4, True, 7783,
+     "2718470116c8998e2a7b583d05b0e125d974f596973db99833505bbe1d22def8"),
+    ("b4-8x40", 5000, 71, False, 5001,
+     "f0375baadd8a429fdc4defa1ac297c43a3aabdb9b45f9482485d91dc96eea96d"),
+])
+def test_search_tree_is_pinned(name, max_nodes, value, proved, nodes, witness_sha):
+    # the node count and the witness fix the order in which the search
+    # visits nodes: a change to the loop that keeps them keeps the tree
+    result = palette_index_exact(PINNED_GRAPHS[name](), max_nodes=max_nodes)
+    assert (result.value, result.proved, result.nodes) == (value, proved, nodes)
+    assert digest(result.witness) == witness_sha
+
+
+@pytest.mark.parametrize("name, full, max_nodes, value", [
+    # the grid's incumbent drops from 6 to 5 at node 6410
+    ("grid3x5", 5, 1, 6), ("grid3x5", 5, 1000, 6), ("grid3x5", 5, 6408, 6),
+    ("grid3x5", 5, 6409, 5), ("grid3x5", 5, 9146, 5),
+    ("k4-6", 4, 1, 4), ("k4-6", 4, 3891, 4), ("k4-6", 4, 7782, 4),
+])
+def test_node_budget_cuts_the_tree_at_the_same_node(name, full, max_nodes, value):
+    g = PINNED_GRAPHS[name]()
+    result = palette_index_exact(g, max_nodes=max_nodes)
+    assert result.nodes == max_nodes + 1 and not result.proved
+    assert result.value == value >= full
+    assert palette_summary(g, result.witness).distinct == result.value
+
+
+def test_wall_budget_is_read_every_1024_nodes():
+    g = gen_random_biregular(4, 8, 40, 1)
+    result = palette_index_exact(g, max_seconds=1e-9)
+    assert not result.proved and result.nodes == 1024
+    assert palette_summary(g, result.witness).distinct == result.value == 71
 
 
 @settings(deadline=None, max_examples=40)
