@@ -8,6 +8,7 @@ permutations; palettes are compared as sets of block indices.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 
@@ -37,14 +38,15 @@ def palette_index_exact(g: Graph, max_nodes: int | None = None,
 
     Branch and bound over canonical matching partitions, on an explicit
     stack so that only the budgets bound the search.  Edges are taken in a
-    fixed saturation-first order: vertices by ascending degree, each
-    listing its edges not yet listed.  Pruning uses the running best, the
-    palettes of already-saturated vertices, the fact that palettes of
-    different sizes are always distinct, and one more palette forced by an
-    endpoint whose palette no frozen palette of its size can extend.  Twin
-    vertices (same neighbours, no parallel edges) are ordered by a
-    lex-leader constraint.  When a budget runs out the best coloring found
-    so far is returned with proved=False.
+    fail-first order fixed before the search: repeatedly the vertex with
+    the fewest edges not yet listed lists them, so palettes freeze early
+    and the frozen-palette prunes fire near the root.  Pruning uses the
+    running best, the palettes of already-saturated vertices, the fact
+    that palettes of different sizes are always distinct, and one more
+    palette forced by an endpoint whose palette no frozen palette of its
+    size can extend.  Twin vertices (same neighbours, no parallel edges)
+    are ordered by a lex-leader constraint.  When a budget runs out the
+    best coloring found so far is returned with proved=False.
 
     The search is one flat loop.  Per vertex it keeps `pal`, the bitmask of
     blocks at it, and `rem`, its edges not yet colored; a vertex is frozen
@@ -240,15 +242,29 @@ def _witness(order: list[int], assign: list[int]) -> list[int]:
 
 
 def _saturation_order(g: Graph) -> list[int]:
-    """Edge ids by vertex, vertices in ascending (degree, id), each listing
-    its edges not yet listed in id order: low-degree vertices saturate first."""
+    """Edge ids by vertex, fail-first: repeatedly the unfinished vertex with
+    the fewest edges not yet listed, lowest id on ties, lists those edges in
+    id order, so that palettes freeze as early as possible.
+
+    A heap of (edges left, vertex) with stale entries skipped on pop.
+    """
+    left = list(g.degrees)
     listed = [False] * g.edge_count
+    heap = [(d, v) for v, d in enumerate(left)]
+    heapq.heapify(heap)
     order = []
-    for v in sorted(range(g.vertex_count), key=lambda v: (g.degrees[v], v)):
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != left[v] or not d:
+            continue  # stale, or every edge at v already listed
         for eid in g.incidence[v]:
             if not listed[eid]:
                 listed[eid] = True
                 order.append(eid)
+                w = g.other_end(eid, v)
+                left[w] -= 1
+                heapq.heappush(heap, (left[w], w))
+        left[v] = 0
     return order
 
 
@@ -260,7 +276,9 @@ def _twin_constraints(g: Graph, order: list[int]) -> list[tuple[int, ...]]:
     edge at either; swapping them is an automorphism.  With p the first
     position of an edge at u or u', say xw, and q that of its twin x'w, the
     lex-leader constraint for the swap is block[p] < block[q]: the edges
-    before p are fixed by the swap, and xw, x'w share w.
+    before p are fixed by the swap, and xw, x'w share w.  That needs
+    nothing of the edge order but that it is fixed before the search: p is
+    the first position at u or u', so no edge before it touches either.
     """
     by_neighbours: dict[frozenset[int], list[int]] = {}
     for v in range(g.vertex_count):

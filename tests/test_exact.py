@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palette_index.coloring import palette_summary, verify_proper
-from palette_index.exact import palette_index_exact, palette_index_naive
+from palette_index.exact import (_saturation_order, palette_index_exact,
+                                 palette_index_naive)
 from palette_index.graph import (GraphError, build_graph,
                                  gen_complete_bipartite, gen_grid,
                                  gen_random_biregular, without_isolated)
@@ -77,13 +78,54 @@ def test_regular_class2_never_two():
         assert palette_index_exact(g).value != 2
 
 
-@settings(deadline=None, max_examples=60)
-@given(simple_graphs(max_n=6, max_m=7))
+@st.composite
+def loopless_multigraphs(draw, max_n=6, max_m=8):
+    """Loopless multigraphs with no isolated vertex, parallel edges likely,
+    edge ids in drawn order."""
+    n = draw(st.integers(2, max_n))
+    pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_m))
+    g, _ = without_isolated(build_graph(n, edges))
+    return g
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.one_of(simple_graphs(max_n=6, max_m=7), loopless_multigraphs()))
 def test_solver_matches_naive_enumeration(g):
     g, _ = without_isolated(g)
     if g.vertex_count < 2:
         return
     assert palette_index_exact(g).value == palette_index_naive(g)
+
+
+def test_saturation_order_takes_the_vertex_with_fewest_edges_left():
+    # 2x3 grid: rows 0-1-2 and 3-4-5, edges 0..3 along the rows, 4..6
+    # across.  Corner 0 lists 0 (0-1) and 4 (0-3), leaving corner 3 one edge,
+    # 2 (3-4), so it goes next.  Then 1, 2, 4 and 5 have two edges left and
+    # 1 wins by id (1, 5), leaving 2 with 6 and 4 with 3.  Ascending degree
+    # alone would take the four corners first: [0, 4, 1, 6, 2, 3, 5]
+    assert _saturation_order(gen_grid(2, 3)) == [0, 4, 2, 1, 5, 6, 3]
+
+
+@settings(deadline=None, max_examples=200)
+@given(loopless_multigraphs(max_n=7, max_m=12))
+def test_saturation_order_is_fail_first(g):
+    order = _saturation_order(g)
+    assert sorted(order) == list(range(g.edge_count))
+    # replay: each run of the order starts at the unfinished vertex with the
+    # fewest unlisted edges, lowest id on ties, and lists exactly those
+    # edges in id order
+    unlisted = [set(ids) for ids in g.incidence]
+    pos = 0
+    while pos < len(order):
+        v = min((v for v in range(g.vertex_count) if unlisted[v]),
+                key=lambda v: (len(unlisted[v]), v))
+        run = sorted(unlisted[v])
+        assert order[pos:pos + len(run)] == run
+        for eid in run:
+            for w in g.edges[eid]:
+                unlisted[w].discard(eid)
+        pos += len(run)
 
 
 @st.composite
@@ -155,33 +197,38 @@ PINNED_GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("name, max_nodes, value, proved, nodes, witness_sha", [
-    ("grid3x5", None, 5, True, 9147,
-     "e9e0d2bfce3648ee2d7247aaa415e4e7971ec83dce9baf4c78326181b8d4e0fc"),
-    ("k3-4", None, 5, True, 976,
-     "aaea7df89bc1d2a34d259c72988a15f5e215672174e7c54a66f46e1c5a676b4e"),
-    ("k3-5", None, 5, True, 3018,
-     "235db128dbd42696ad5598494b27b7da776cfda4f0cbb11740bacd26c9717ccd"),
-    ("petersen", None, 3, True, 433,
-     "a613dd9952f9a284515d3e6a0d5abc97ae9a33c34c58ce515e5fa633cc60e2d5"),
-    ("k4-6", 300_000, 4, True, 7783,
-     "2718470116c8998e2a7b583d05b0e125d974f596973db99833505bbe1d22def8"),
-    ("b4-8x40", 5000, 71, False, 5001,
-     "f0375baadd8a429fdc4defa1ac297c43a3aabdb9b45f9482485d91dc96eea96d"),
-])
-def test_search_tree_is_pinned(name, max_nodes, value, proved, nodes, witness_sha):
+# name: (max_nodes, value, proved, nodes, witness SHA-256)
+PINNED_TREES = {
+    "grid3x5": (None, 5, True, 1327,
+                "6522f40ba87fdf18ab8ef5bb5ebafb5e1462a697c59345db27499410281c86fc"),
+    "k3-4": (None, 5, True, 496,
+             "aaea7df89bc1d2a34d259c72988a15f5e215672174e7c54a66f46e1c5a676b4e"),
+    "k3-5": (None, 5, True, 1270,
+             "235db128dbd42696ad5598494b27b7da776cfda4f0cbb11740bacd26c9717ccd"),
+    "petersen": (None, 3, True, 429,
+                 "a613dd9952f9a284515d3e6a0d5abc97ae9a33c34c58ce515e5fa633cc60e2d5"),
+    "k4-6": (300_000, 4, True, 2539,
+             "2718470116c8998e2a7b583d05b0e125d974f596973db99833505bbe1d22def8"),
+    "b4-8x40": (5000, 70, False, 5001,
+                "3a05ca782131a2c0ff9601e4e09b72c39f4ba2af0c20debb39b88476cd727662"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_TREES)
+def test_search_tree_is_pinned(name):
     # the node count and the witness fix the order in which the search
     # visits nodes: a change to the loop that keeps them keeps the tree
+    max_nodes, value, proved, nodes, witness_sha = PINNED_TREES[name]
     result = palette_index_exact(PINNED_GRAPHS[name](), max_nodes=max_nodes)
     assert (result.value, result.proved, result.nodes) == (value, proved, nodes)
     assert digest(result.witness) == witness_sha
 
 
 @pytest.mark.parametrize("name, full, max_nodes, value", [
-    # the grid's incumbent drops from 6 to 5 at node 6410
-    ("grid3x5", 5, 1, 6), ("grid3x5", 5, 1000, 6), ("grid3x5", 5, 6408, 6),
-    ("grid3x5", 5, 6409, 5), ("grid3x5", 5, 9146, 5),
-    ("k4-6", 4, 1, 4), ("k4-6", 4, 3891, 4), ("k4-6", 4, 7782, 4),
+    # the grid's incumbent drops from 6 to 5 in node 287
+    ("grid3x5", 5, 1, 6), ("grid3x5", 5, 143, 6), ("grid3x5", 5, 286, 6),
+    ("grid3x5", 5, 287, 5), ("grid3x5", 5, 1326, 5),
+    ("k4-6", 4, 1, 4), ("k4-6", 4, 1269, 4), ("k4-6", 4, 2538, 4),
 ])
 def test_node_budget_cuts_the_tree_at_the_same_node(name, full, max_nodes, value):
     g = PINNED_GRAPHS[name]()
