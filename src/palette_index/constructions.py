@@ -59,8 +59,12 @@ def color_even_bipartite(g: Graph) -> ConstructionResult:
     Loops raise every vertex to the maximum degree and the regular
     multigraph is split into 2-factors; each factor's even cycles, as
     `factor_cycles` walks them with the loops dropped, are colored
-    alternately with the factor's own color pair.  The distinct-palette
-    count is at most the sum over present degrees d of C(maxdeg/2, d/2).
+    alternately with the factor's own color pair.  The loops are arcs
+    appended to an Euler orientation of g, never walked, and the factors
+    come from splitting even levels along closed trails (Kőnig only at odd
+    levels), in O(m log(maxdeg/2)) when maxdeg/2 is a power of two.  The
+    distinct-palette count is at most the sum over present degrees d of
+    C(maxdeg/2, d/2).
     """
     _require_bipartite(g)
     if g.has_isolated_vertices():

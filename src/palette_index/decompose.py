@@ -2,7 +2,7 @@
 2-factorizations, bipartite matchings, degree-many edge colorings of
 bipartite graphs, vertex splitting, and alternating parity splits.
 
-One primitive carries the bipartite work: `konig_coloring`, the
+One primitive carries the general bipartite work: `konig_coloring`, the
 alternating-path max-degree edge coloring.  Perfect matchings of regular
 bipartite graphs are read from its color classes; a true maximum matching
 (Hopcroft-Karp) is computed only where one is asked for.  Its alternating
@@ -10,11 +10,14 @@ paths are swapped by `swap_kempe_chain`, one walk that exchanges two colors
 in place over an `at[v][c] -> edge` table; `cyclic_interval_coloring`
 swaps its chains with the same walk.
 
-2-factors come from one such table: Kőnig's loop colors the arcs of an
-Euler orientation of the graph padded with loops, so that every vertex has
-one out-arc and one in-arc of each color.  `two_factorization` reads its
-factors off that table, and `factor_cycles` walks each factor's cycles
-along it.
+2-factors come from one such table over the arcs of an Euler orientation
+of the graph, so that every vertex has one out-arc and one in-arc of each
+color.  The padding loops that make the graph regular are appended as
+arcs, not walked.  The arcs are colored level by level: a level of even
+degree splits into two halves along closed trails, and Kőnig colors only
+the levels of odd degree, so the table costs O(m log r) when r is a power
+of two.  `two_factorization` reads its factors off that table, and
+`factor_cycles` walks each factor's cycles along it.
 
 Everything here is deterministic: trails start at the smallest vertex id,
 edges are colored, and scanned for augmenting paths, in ascending edge-id
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from itertools import accumulate
+from operator import xor
 
 from .graph import SIDE_X, SIDE_Y, Bipartition, Graph, GraphError
 
@@ -82,8 +87,10 @@ def two_factorization(g: Graph) -> tuple[frozenset[int], ...]:
     2-factors, each the edge-id set of a spanning 2-regular subgraph.
 
     Factor i holds the edges whose arcs take color i in `_two_factor_table`:
-    the out-arcs of color i, one per vertex.  A graph without edges has no
-    factors.
+    the out-arcs of color i, one per vertex.  Even levels of that table
+    split along closed trails and odd ones are Kőnig-colored, so for r a
+    power of two the factors cost O(m log r).  A graph without edges has
+    no factors.
     """
     degs = set(g.degrees)
     if len(degs) > 1:
@@ -96,7 +103,7 @@ def two_factorization(g: Graph) -> tuple[frozenset[int], ...]:
     r = d // 2
     if r == 0:
         return ()
-    at, _, source = _two_factor_table(g, r)
+    at, _, _, source = _two_factor_table(g, r)
     outs = at[:g.vertex_count]
     return tuple(frozenset(source[row[i]] for row in outs) for i in range(1, r + 1))
 
@@ -117,7 +124,7 @@ def factor_cycles(g: Graph) -> list[list[list[int]]]:
     n, m, r = g.vertex_count, g.edge_count, g.max_degree // 2
     if r == 0:
         return []
-    at, arcs, source = _two_factor_table(g, r)
+    at, tails, heads, source = _two_factor_table(g, r)
     walked = [0] * n  # walked[v] == i once v's cycle of factor i is listed
     factors: list[list[list[int]]] = []
     for i in range(1, r + 1):
@@ -130,8 +137,7 @@ def factor_cycles(g: Graph) -> list[list[list[int]]]:
             a, cycle = (out if forward else back), []
             while True:
                 cycle.append(source[a])
-                tail, head = arcs[a]
-                v = head - n if forward else tail
+                v = heads[a] - n if forward else tails[a]
                 walked[v] = i
                 if v == v0:
                     break
@@ -142,37 +148,110 @@ def factor_cycles(g: Graph) -> list[list[list[int]]]:
 
 
 def _two_factor_table(g: Graph, r: int
-                      ) -> tuple[list[list[int]], list[tuple[int, int]], list[int]]:
-    """Petersen's 2-factorization of g padded to 2r-regular, as Kőnig's
-    table over an Euler orientation.
+                      ) -> tuple[list[list[int]], list[int], list[int], list[int]]:
+    """Petersen's 2-factorization of g padded to 2r-regular, as a proper
+    r-coloring of the arcs of an Euler orientation.
 
-    Every vertex v of degree d gets r - d/2 loops, with ids after g's edges.
-    Each component's Eulerian circuit is oriented from its smallest vertex,
-    and arc a from tail t to head h is the edge (t, n + h) of the in/out
-    bipartite realization, which is r-regular.  Kőnig colors its arcs with
-    1..r: `at[t][i]` is t's out-arc of color i and `at[n + h][i]` h's
-    in-arc, so each color is a spanning 2-regular factor.  Returns `at`, the
-    arcs as (t, n + h) pairs in circuit order, and `source[a]`, the edge id
-    of arc a.
+    Each component's Eulerian circuit, walked on g itself, is oriented from
+    its smallest vertex, and arc a from tail t to head h is the edge
+    (t, n + h) of the in/out bipartite realization.  Then every vertex v of
+    degree d gets r - d/2 padding loops as arcs (v, n + v), with edge ids
+    after g's: a loop gives the same arc either way round, so it need not be
+    walked.  The realization is r-regular, and `_regular_bipartite_table`
+    colors its arcs with 1..r: `at[t][i]` is t's out-arc of color i and
+    `at[n + h][i]` h's in-arc, so each color is a spanning 2-regular factor.
+    Returns `at`, the arcs' tails and heads (n + h), circuit by circuit and
+    then the loops, and `source[a]`, the edge id of arc a.
     """
-    n = g.vertex_count
-    loops = [(v, v) for v, d in enumerate(g.degrees) for _ in range(r - d // 2)]
-    star = Graph(n, g.edges + tuple(loops)) if loops else g
-    edges = star.edges
-    arcs: list[tuple[int, int]] = []
+    n, m, edges = g.vertex_count, g.edge_count, g.edges
+    ends = [x ^ y for x, y in edges]
+    tails: list[int] = []
+    heads: list[int] = []
     source: list[int] = []
-    for circuit in eulerian_circuit(star):
-        tail = min(edges[circuit[0]])  # the trail starts at its smallest vertex
-        for eid in circuit:
-            x, y = edges[eid]
-            head = x ^ y ^ tail
-            arcs.append((tail, n + head))
-            source.append(eid)
-            tail = head
-    at, _, _ = _konig_table(2 * n, r, arcs, [SIDE_X] * n + [SIDE_Y] * n)
+    for circuit in eulerian_circuit(g):
+        # the trail starts at its smallest vertex, and each edge leads on
+        # to the xor of its ends with the vertex it leaves
+        trail = list(accumulate(map(ends.__getitem__, circuit), xor,
+                                initial=min(edges[circuit[0]])))
+        tails += trail[:-1]
+        heads += map(n.__add__, trail[1:])
+        source += circuit
+    pad = [v for v, d in enumerate(g.degrees) for _ in range(r - d // 2)]
+    tails += pad
+    heads += map(n.__add__, pad)
+    source += range(m, m + len(pad))
+    at = _regular_bipartite_table(n, r, tails, heads)
     assert all(row.count(-1) == 1 for row in at), \
         "a vertex misses an out-arc or an in-arc of some color"
-    return at, arcs, source
+    return at, tails, heads, source
+
+
+def _regular_bipartite_table(n: int, r: int, tails: list[int],
+                             heads: list[int]) -> list[list[int]]:
+    """`at[v][c]`, the arc of color c at v (slot 0 unused), of a proper
+    r-coloring of an r-regular bipartite multigraph on 2n vertices whose
+    arc a runs from `tails[a]` < n to `heads[a]` >= n.
+
+    A stack holds levels: arc lists that are d-regular on every vertex, with
+    the colors base+1..base+d to give.  A level of even d is split along
+    closed trails: the arcs at each vertex are paired, each pair is a
+    passage through that vertex, and following the passages walks every arc
+    once, from tail to head or back, so each vertex keeps d/2 arcs of each
+    direction.  Arcs walked forward take the colors base+1..base+d/2 and the
+    others the rest.  A level of odd d > 1 is colored by `_konig_table`, and
+    one of degree 1 takes its one color.  When r is a power of two the cost
+    is O(|arcs| log r).
+    """
+    at = [[-1] * (r + 1) for _ in range(2 * n)]
+    mate_t = [0] * len(tails)  # the arc paired with each arc at its tail
+    mate_h = [0] * len(tails)  # and at its head
+    # the degree of the last even level that walked each arc: an arc's
+    # levels halve in degree, so it never equals the current one beforehand
+    walked = [0] * len(tails)
+    levels: list[tuple[Sequence[int], int, int]] = []
+    if r:
+        levels.append((range(len(tails)), 0, r))
+    while levels:
+        level, base, d = levels.pop()
+        if d == 1:
+            c = base + 1
+            for a in level:
+                at[tails[a]][c] = at[heads[a]][c] = a
+        elif d % 2:
+            arcs = [(tails[a], heads[a]) for a in level]
+            _, color, _ = _konig_table(2 * n, d, arcs, [SIDE_X] * n + [SIDE_Y] * n)
+            for a, c in zip(level, color):
+                at[tails[a]][base + c] = at[heads[a]][base + c] = a
+        else:
+            pending = [-1] * (2 * n)
+            for a in level:
+                t, h = tails[a], heads[a]
+                if (p := pending[t]) < 0:
+                    pending[t] = a
+                else:
+                    mate_t[a], mate_t[p], pending[t] = p, a, -1
+                if (p := pending[h]) < 0:
+                    pending[h] = a
+                else:
+                    mate_h[a], mate_h[p], pending[h] = p, a, -1
+            forward: list[int] = []
+            back: list[int] = []
+            for a0 in level:
+                if walked[a0] == d:
+                    continue
+                a = a0
+                while True:  # tail to head along a, head to tail along b
+                    b = mate_h[a]
+                    walked[a] = walked[b] = d
+                    forward.append(a)
+                    back.append(b)
+                    a = mate_t[b]
+                    if a == a0:
+                        break
+            half = d // 2
+            levels.append((back, base + half, half))
+            levels.append((forward, base, half))
+    return at
 
 
 def maximum_matching(g: Graph, bip: Bipartition) -> frozenset[int]:

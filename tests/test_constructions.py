@@ -21,9 +21,9 @@ from palette_index.constructions import (ROUTES, RouteFacts, color_2_odd,
                                          color_grid_on, color_r_2r,
                                          color_via_doubling,
                                          grid_palette_value, recognize_grid)
-from palette_index.decompose import factor_cycles, two_factorization
+from palette_index.decompose import factor_cycles
 from palette_index.exact import palette_index_exact
-from palette_index.graph import (Graph, GraphError, bipartition,
+from palette_index.graph import (GraphError, bipartition,
                                  build_graph,
                                  gen_complete_bipartite,
                                  gen_grid, gen_random_biregular,
@@ -84,17 +84,16 @@ def test_even_bipartite_rejects_odd_degrees():
 
 def reference_even_pairs_colors(g):
     """`color_even_bipartite`'s coloring with each 2-factor's cycles walked
-    by hand: pad every vertex with loops up to the maximum degree, 2-factor
-    the padded graph, drop the loops, and color each cycle of factor i
-    alternately 2i-1, 2i from its smallest vertex along its smaller edge id."""
-    m, r = g.edge_count, g.max_degree // 2
-    padded = list(g.edges)
-    for v in range(g.vertex_count):
-        padded.extend([(v, v)] * (r - g.degrees[v] // 2))
-    star = Graph(g.vertex_count, tuple(padded))
+    by hand: take factor i of g padded with loops up to the maximum degree
+    from the table `color_even_bipartite` reads (the edges of the out-arcs
+    of color i, one per vertex), drop the loops, and color each cycle of
+    factor i alternately 2i-1, 2i from its smallest vertex along its smaller
+    edge id."""
+    n, m, r = g.vertex_count, g.edge_count, g.max_degree // 2
+    at, _, _, source = decompose._two_factor_table(g, r)
     colors = {}
-    for i, factor in enumerate(two_factorization(star), start=1):
-        real = sorted(e for e in factor if e < m)
+    for i in range(1, r + 1):
+        real = sorted(source[at[v][i]] for v in range(n) if source[at[v][i]] < m)
         inc = {}
         for eid in real:
             for v in g.edges[eid]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from palette_index import decompose
 from palette_index.coloring import palette_summary, verify_proper
 from palette_index.decompose import (eulerian_circuit, konig_coloring,
                                      matching_covering_max_degree,
@@ -234,15 +235,6 @@ def realization(g):
     return Graph(2 * n, tuple(arcs)), bip, arc_source
 
 
-def reference_two_factorization(g):
-    """`two_factorization` as it was first written, kept to pin its factors:
-    Kőnig's color classes of the realization graph, peeled as perfect
-    matchings and pulled back to g's edge ids."""
-    h, bip, arc_source = realization(g)
-    return tuple(frozenset(arc_source[a] for a in cls)
-                 for cls in peel_perfect_matchings(h, bip))
-
-
 @st.composite
 def regular_even_multigraphs(draw):
     """2r-regular multigraphs, r = 1..4, on up to 12 vertices, edges shuffled:
@@ -262,11 +254,55 @@ def regular_even_multigraphs(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(regular_even_multigraphs())
-def test_two_factorization_matches_the_reference(g):
+def test_two_factorization_partitions_the_edges_into_2_factors(g):
     factors = two_factorization(g)
-    assert factors == reference_two_factorization(g)
+    assert len(factors) == g.max_degree // 2
     for factor in factors:
         assert all(d == 2 for d in _factor_degrees(g, factor))
+    assert sorted(e for factor in factors for e in factor) == list(range(g.edge_count))
+
+
+@st.composite
+def regular_bipartite_arcs(draw, r):
+    """An r-regular bipartite multigraph with sides 0..n-1 and n..2n-1, as
+    (n, arcs) with the arcs shuffled: the union of r permutations of the
+    same blocks of vertices, so it has at least one component per block,
+    and permutations that agree give parallel arcs."""
+    n = draw(st.integers(1, 10))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    blocks = [list(range(a, b)) for a, b in zip([0] + cuts, cuts + [n])]
+    arcs = []
+    for _ in range(r):
+        for block in blocks:
+            arcs += [(t, n + h) for t, h in zip(block, draw(st.permutations(block)))]
+    return n, draw(st.permutations(arcs))
+
+
+# r = 4 and 8 only split, r = 6 splits once into two Kőnig levels of
+# degree 3, and an odd r is one Kőnig level
+@pytest.mark.parametrize("r", range(1, 9))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_regular_bipartite_table_is_a_proper_r_coloring(r, data):
+    nx = pytest.importorskip("networkx")
+    n, arcs = data.draw(regular_bipartite_arcs(r))
+    tails, heads = [t for t, _ in arcs], [h for _, h in arcs]
+    at = decompose._regular_bipartite_table(n, r, tails, heads)
+    classes = {c: [at[t][c] for t in range(n)] for c in range(1, r + 1)}
+    # every vertex sees every color exactly once, on its row's arcs
+    for v, row in enumerate(at):
+        assert row[0] == -1 and len(row) == r + 1
+        assert all(v in arcs[a] for a in row[1:])
+        seen = sorted(c for c in classes for a in classes[c] if v in arcs[a])
+        assert seen == list(range(1, r + 1))
+    # each color class is a perfect matching of the multigraph
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(2 * n))
+    h.add_edges_from(arcs)
+    for c, cls in classes.items():
+        assert sorted(cls) == sorted(at[n + k][c] for k in range(n))
+        assert nx.is_perfect_matching(h, {arcs[a] for a in cls})
+    assert sorted(a for cls in classes.values() for a in cls) == list(range(len(arcs)))
 
 
 def test_maximum_matching_sizes():
