@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Callable
 
 from .coloring import palette_summary
-from .decompose import (cyclic_interval_coloring, factor_cycles,
+from .decompose import (cyclic_interval_coloring, factor_arcs,
                         konig_coloring, matching_covering_max_degree,
                         maximum_matching, parity_split,
                         peel_perfect_matchings, split_part_vertices)
@@ -57,27 +57,21 @@ def color_even_bipartite(g: Graph) -> ConstructionResult:
     union of color pairs {2i-1, 2i}.
 
     Loops raise every vertex to the maximum degree and the regular
-    multigraph is split into 2-factors; each factor's even cycles, as
-    `factor_cycles` walks them with the loops dropped, are colored
-    alternately with the factor's own color pair.  The loops are arcs
-    appended to an Euler orientation of g, never walked, and the factors
-    come from splitting even levels along closed trails (Kőnig only at odd
-    levels), in O(m log(maxdeg/2)) when maxdeg/2 is a power of two.  The
-    distinct-palette count is at most the sum over present degrees d of
-    C(maxdeg/2, d/2).
+    multigraph is split into 2-factors, as `factor_arcs` reads them off an
+    Euler orientation.  An edge of factor i takes 2i-1 when its arc leaves
+    side X and 2i when it leaves side Y; each cycle alternates the sides,
+    so each vertex with edges in factor i meets both colors of its pair.
+    The loops are arcs appended to the orientation, never walked, and the
+    factors come from splitting even levels along closed trails (Kőnig
+    only at odd levels), in O(m log(maxdeg/2)) when maxdeg/2 is a power of
+    two.  The distinct-palette count is at most the sum over present
+    degrees d of C(maxdeg/2, d/2).
     """
-    _require_bipartite(g)
+    side = _require_bipartite(g).side_of
     if g.has_isolated_vertices():
         raise GraphError("isolated vertices are not allowed here")
-    if not g.is_even():
-        raise GraphError("all degrees must be even")
-    if g.edge_count == 0:
-        return _finish(g, [], 0, "even-bipartite-pairs")
-    colors = [0] * g.edge_count
-    for i, cycles in enumerate(factor_cycles(g), start=1):
-        for cycle in cycles:
-            for pos, eid in enumerate(cycle):
-                colors[eid] = 2 * i - 1 + pos % 2
+    factor, tail = factor_arcs(g)  # raises unless every degree is even
+    colors = [2 * i - 1 + side[t] for i, t in zip(factor, tail)]
     return _finish(g, colors, _even_pairs_bound(g), "even-bipartite-pairs")
 
 

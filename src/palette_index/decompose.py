@@ -16,8 +16,11 @@ color.  The padding loops that make the graph regular are appended as
 arcs, not walked.  The arcs are colored level by level: a level of even
 degree splits into two halves along closed trails, and Kőnig colors only
 the levels of odd degree, so the table costs O(m log r) when r is a power
-of two.  `two_factorization` reads its factors off that table, and
-`factor_cycles` walks each factor's cycles along it.
+of two.  `factor_arcs` reads off that table, for each edge, its factor
+and the vertex its arc leaves, and `two_factorization` groups the edges
+by factor.  In a bipartite graph a factor's cycles alternate arcs that
+leave side X with arcs that leave side Y, so the side an arc leaves is
+all `color_even_bipartite` needs to alternate a factor's color pair.
 
 Everything here is deterministic: trails start at the smallest vertex id,
 edges are colored, and scanned for augmenting paths, in ascending edge-id
@@ -86,69 +89,47 @@ def two_factorization(g: Graph) -> tuple[frozenset[int], ...]:
     """Split a 2r-regular multigraph (loops allowed, counting 2) into r
     2-factors, each the edge-id set of a spanning 2-regular subgraph.
 
-    Factor i holds the edges whose arcs take color i in `_two_factor_table`:
-    the out-arcs of color i, one per vertex.  Even levels of that table
-    split along closed trails and odd ones are Kőnig-colored, so for r a
+    Factor i holds the edges that `factor_arcs` puts in factor i.  For r a
     power of two the factors cost O(m log r).  A graph without edges has
     no factors.
     """
     degs = set(g.degrees)
     if len(degs) > 1:
         raise GraphError(f"graph is not regular: degrees {sorted(degs)}")
-    if not degs:
-        return ()
-    d = degs.pop()
-    if d % 2 != 0:
-        raise GraphError(f"degree {d} is odd; 2-factorization needs even regularity")
-    r = d // 2
-    if r == 0:
-        return ()
-    at, _, _, source = _two_factor_table(g, r)
-    outs = at[:g.vertex_count]
-    return tuple(frozenset(source[row[i]] for row in outs) for i in range(1, r + 1))
+    factor, _ = factor_arcs(g)
+    groups: list[list[int]] = [[] for _ in range(g.max_degree // 2)]
+    for eid, i in enumerate(factor):
+        groups[i - 1].append(eid)
+    return tuple(map(frozenset, groups))
 
 
-def factor_cycles(g: Graph) -> list[list[list[int]]]:
-    """The cycles of each 2-factor of g padded with loops to its maximum
-    degree, without the loops: one list of edge-id cycles per factor.
+def factor_arcs(g: Graph) -> tuple[list[int], list[int]]:
+    """`(factor, tail)` by edge id: the 2-factor (1..r) of g padded with
+    loops to its maximum degree 2r that holds the edge, and the vertex its
+    arc leaves in the Euler orientation that `_two_factor_table` colors.
 
-    Requires every degree to be even.  The cycles of a factor are listed by
-    their smallest vertex, and each runs from that vertex along the smaller
-    id of its two factor edges.  A cycle is a directed cycle of the factor's
-    arcs in `_two_factor_table`, walked forward along out-arcs or backward
-    along in-arcs; the start picks the arc, not the neighbour, so a 2-cycle
-    of parallel edges is walked the right way.
+    Requires every degree to be even.  Each factor is a set of directed
+    cycles, one out-arc and one in-arc per vertex, so in a bipartite graph
+    a factor's cycles alternate arcs that leave side X with arcs that leave
+    side Y.  A vertex's padding loop in factor i is both its arcs there, so
+    a vertex has either two edges of g in factor i or none.
     """
     if not g.is_even():
         raise GraphError("all degrees must be even")
     n, m, r = g.vertex_count, g.edge_count, g.max_degree // 2
+    factor, tail = [0] * m, [0] * m
     if r == 0:
-        return []
-    at, tails, heads, source = _two_factor_table(g, r)
-    walked = [0] * n  # walked[v] == i once v's cycle of factor i is listed
-    factors: list[list[list[int]]] = []
-    for i in range(1, r + 1):
-        cycles: list[list[int]] = []
-        for v0 in range(n):
-            out, back = at[v0][i], at[n + v0][i]
-            if walked[v0] == i or source[out] >= m:
-                continue  # listed already, or a padding loop
-            forward = source[out] < source[back]
-            a, cycle = (out if forward else back), []
-            while True:
-                cycle.append(source[a])
-                v = heads[a] - n if forward else tails[a]
-                walked[v] = i
-                if v == v0:
-                    break
-                a = at[v][i] if forward else at[n + v][i]
-            cycles.append(cycle)
-        factors.append(cycles)
-    return factors
+        return factor, tail
+    at, source = _two_factor_table(g, r)
+    for v, row in enumerate(at[:n]):
+        for i in range(1, r + 1):
+            eid = source[row[i]]
+            if eid < m:  # not a padding loop
+                factor[eid], tail[eid] = i, v
+    return factor, tail
 
 
-def _two_factor_table(g: Graph, r: int
-                      ) -> tuple[list[list[int]], list[int], list[int], list[int]]:
+def _two_factor_table(g: Graph, r: int) -> tuple[list[list[int]], list[int]]:
     """Petersen's 2-factorization of g padded to 2r-regular, as a proper
     r-coloring of the arcs of an Euler orientation.
 
@@ -160,8 +141,7 @@ def _two_factor_table(g: Graph, r: int
     walked.  The realization is r-regular, and `_regular_bipartite_table`
     colors its arcs with 1..r: `at[t][i]` is t's out-arc of color i and
     `at[n + h][i]` h's in-arc, so each color is a spanning 2-regular factor.
-    Returns `at`, the arcs' tails and heads (n + h), circuit by circuit and
-    then the loops, and `source[a]`, the edge id of arc a.
+    Returns `at` and `source[a]`, the edge id of arc a.
     """
     n, m, edges = g.vertex_count, g.edge_count, g.edges
     ends = [x ^ y for x, y in edges]
@@ -183,7 +163,7 @@ def _two_factor_table(g: Graph, r: int
     at = _regular_bipartite_table(n, r, tails, heads)
     assert all(row.count(-1) == 1 for row in at), \
         "a vertex misses an out-arc or an in-arc of some color"
-    return at, tails, heads, source
+    return at, source
 
 
 def _regular_bipartite_table(n: int, r: int, tails: list[int],

@@ -21,9 +21,9 @@ from palette_index.constructions import (ROUTES, RouteFacts, color_2_odd,
                                          color_grid_on, color_r_2r,
                                          color_via_doubling,
                                          grid_palette_value, recognize_grid)
-from palette_index.decompose import factor_cycles
+from palette_index.decompose import factor_arcs
 from palette_index.exact import palette_index_exact
-from palette_index.graph import (GraphError, bipartition,
+from palette_index.graph import (SIDE_X, GraphError, bipartition,
                                  build_graph,
                                  gen_complete_bipartite,
                                  gen_grid, gen_random_biregular,
@@ -82,16 +82,15 @@ def test_even_bipartite_rejects_odd_degrees():
         color_even_bipartite(gen_complete_bipartite(2, 3))
 
 
-def reference_even_pairs_colors(g):
-    """`color_even_bipartite`'s coloring with each 2-factor's cycles walked
-    by hand: take factor i of g padded with loops up to the maximum degree
-    from the table `color_even_bipartite` reads (the edges of the out-arcs
-    of color i, one per vertex), drop the loops, and color each cycle of
-    factor i alternately 2i-1, 2i from its smallest vertex along its smaller
-    edge id."""
+def hand_walk_cycles(g):
+    """Each 2-factor's cycles walked by hand, as (i, edge-id cycle) pairs:
+    take factor i of g padded with loops up to the maximum degree from the
+    table `color_even_bipartite` reads (the edges of the out-arcs of color
+    i, one per vertex), drop the loops, and walk each cycle of factor i
+    from its smallest vertex along its smaller edge id."""
     n, m, r = g.vertex_count, g.edge_count, g.max_degree // 2
-    at, _, _, source = decompose._two_factor_table(g, r)
-    colors = {}
+    at, source = decompose._two_factor_table(g, r)
+    cycles = []
     for i in range(1, r + 1):
         real = sorted(source[at[v][i]] for v in range(n) if source[at[v][i]] < m)
         inc = {}
@@ -103,18 +102,42 @@ def reference_even_pairs_colors(g):
             starters = [e for e in inc[v0] if e in unused]
             if not starters:
                 continue
-            eid, cur, color = starters[0], v0, 2 * i - 1
+            eid, cur, cycle = starters[0], v0, []
             while True:
-                colors[eid] = color
+                cycle.append(eid)
                 unused.discard(eid)
                 cur = g.other_end(eid, cur)
-                color = 4 * i - 1 - color
                 nxt = [e for e in inc[cur] if e in unused]
                 if not nxt:
                     break
                 eid = nxt[0]
             assert cur == v0
-    return [colors[eid] for eid in range(m)]
+            cycles.append((i, cycle))
+    return cycles
+
+
+def reference_even_pairs_colors(g):
+    """An even bipartite coloring with each hand-walked cycle of factor i
+    colored alternately 2i-1, 2i from its start."""
+    colors = [0] * g.edge_count
+    for i, cycle in hand_walk_cycles(g):
+        for pos, eid in enumerate(cycle):
+            colors[eid] = 2 * i - 1 + pos % 2
+    return colors
+
+
+def assert_palettes_match_the_hand_walk(g):
+    """`color_even_bipartite` gives every vertex the hand walk's palette,
+    and colors each edge of factor i 2i-1 when its arc leaves side X and 2i
+    when it leaves side Y."""
+    colors = color_even_bipartite(g).coloring
+    assert palette_summary(g, colors).palette_of == \
+        palette_summary(g, reference_even_pairs_colors(g)).palette_of
+    factor, tail = factor_arcs(g)
+    side = bipartition(g).side_of
+    for eid, c in enumerate(colors):
+        assert (c + 1) // 2 == factor[eid]
+        assert (c % 2 == 1) == (side[tail[eid]] == SIDE_X)
 
 
 def even_bipartite_multigraph(delta, rng):
@@ -152,30 +175,27 @@ def relabeled_union(copies, g, rng):
 
 
 @pytest.mark.parametrize("delta", [2, 4, 6, 8])
-def test_even_bipartite_cycles_match_the_hand_walk(delta):
+def test_even_bipartite_palettes_match_the_hand_walk(delta):
     rng = random.Random(delta)
     graphs = [gen_random_even_bipartite(delta, seed) for seed in range(25)]
     graphs += [even_bipartite_multigraph(delta, rng) for _ in range(40)]
     graphs.append(relabeled_union(60, gen_complete_bipartite(2, delta), rng))
     graphs.append(gen_random_biregular(2, delta, 800 // delta, 1))
     padding, two_cycles = set(), 0
-    for k, g in enumerate(graphs):
-        assert color_even_bipartite(g).coloring == \
-            reference_even_pairs_colors(g), (delta, k)
+    for g in graphs:
+        assert_palettes_match_the_hand_walk(g)
         padding |= {(g.max_degree - d) // 2 for d in g.degrees}
-        two_cycles += sum(len(c) == 2 for cycles in factor_cycles(g) for c in cycles)
+        two_cycles += sum(len(c) == 2 for _, c in hand_walk_cycles(g))
     # vertices took every count of padding loops, and factors held 2-cycles
     assert padding == set(range(delta // 2))
     assert two_cycles > 0
 
 
 @pytest.mark.parametrize("a,b", [(2, 4), (2, 6), (4, 8)])
-def test_even_family_cycles_match_the_hand_walk(a, b):
+def test_even_family_palettes_match_the_hand_walk(a, b):
     for scale in (1, 2, 3):
         for seed in range(4):
-            g = gen_random_biregular(a, b, scale, seed)
-            assert color_even_bipartite(g).coloring == \
-                reference_even_pairs_colors(g), (scale, seed)
+            assert_palettes_match_the_hand_walk(gen_random_biregular(a, b, scale, seed))
 
 
 def test_doubling_sharpness_union():

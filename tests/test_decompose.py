@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from palette_index import decompose
 from palette_index.coloring import palette_summary, verify_proper
-from palette_index.decompose import (eulerian_circuit, konig_coloring,
+from palette_index.decompose import (eulerian_circuit, factor_arcs,
+                                     konig_coloring,
                                      matching_covering_max_degree,
                                      maximum_matching, parity_split,
                                      peel_perfect_matchings,
@@ -260,6 +261,12 @@ def test_two_factorization_partitions_the_edges_into_2_factors(g):
     for factor in factors:
         assert all(d == 2 for d in _factor_degrees(g, factor))
     assert sorted(e for factor in factors for e in factor) == list(range(g.edge_count))
+    factor, tail = factor_arcs(g)
+    for i, edges in enumerate(factors, start=1):
+        assert edges == {e for e, f in enumerate(factor) if f == i}
+        # every vertex leaves by exactly one arc of each factor
+        assert all(tail[e] in g.edges[e] for e in edges)
+        assert sorted(tail[e] for e in edges) == list(range(g.vertex_count))
 
 
 @st.composite
