@@ -12,7 +12,6 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from .coloring import palette_summary
 from .graph import Graph, GraphError
 
 
@@ -48,6 +47,11 @@ def palette_index_exact(g: Graph, max_nodes: int | None = None,
     are ordered by a lex-leader constraint.  When a budget runs out the
     best coloring found so far is returned with proved=False.
 
+    The incumbent starts from a greedy first-fit seed, whose palette count
+    is read off its per-vertex block bitmasks; no palette summary is built.
+    The returned witness is proper by construction: the seed and the search
+    both put an edge only in a block that misses both its ends.
+
     The search is one flat loop.  Per vertex it keeps `pal`, the bitmask of
     blocks at it, and `rem`, its edges not yet colored; a vertex is frozen
     (saturated) once `rem` is 0.  `frozen` maps, per degree, each frozen
@@ -71,19 +75,20 @@ def palette_index_exact(g: Graph, max_nodes: int | None = None,
         return PaletteIndexResult(0, [], True, 0)
 
     degs = g.degrees
+    edges = g.edges
     global_lb = len(set(degs))  # palettes of different sizes differ
 
     # greedy first-fit seed in degree-sum order: independent upper bound and
-    # fallback witness; when it meets the degree-count bound nothing is left
-    seed_order = sorted(range(m), key=lambda e: (-(degs[g.edges[e][0]] + degs[g.edges[e][1]]), e))
-    seed_assign = _greedy_blocks([g.edges[e] for e in seed_order])
-    seed_witness = _witness(seed_order, seed_assign)
-    best_value = palette_summary(g, seed_witness).distinct
+    # fallback witness; its palette count is that of its per-vertex block
+    # bitmasks, and when it meets the degree-count bound nothing is left
+    seed_order = sorted(range(m), key=lambda e: (-(degs[edges[e][0]] + degs[edges[e][1]]), e))
+    seed_assign, seed_pal = _greedy_blocks([edges[e] for e in seed_order], g.vertex_count)
+    best_value = len(set(seed_pal))
     if best_value <= global_lb:
-        return PaletteIndexResult(best_value, seed_witness, True, 0)
+        return PaletteIndexResult(best_value, _witness(seed_order, seed_assign), True, 0)
 
     order = _saturation_order(g)
-    ends = [g.edges[e] for e in order]
+    ends = [edges[e] for e in order]
     block_of = dict(zip(seed_order, seed_assign))
     best_assign = [block_of[e] for e in order]
     above = _twin_constraints(g, order)
@@ -248,6 +253,8 @@ def _saturation_order(g: Graph) -> list[int]:
 
     A heap of (edges left, vertex) with stale entries skipped on pop.
     """
+    edges = g.edges
+    incidence = g.incidence
     left = list(g.degrees)
     listed = [False] * g.edge_count
     heap = [(d, v) for v, d in enumerate(left)]
@@ -257,11 +264,12 @@ def _saturation_order(g: Graph) -> list[int]:
         d, v = heapq.heappop(heap)
         if d != left[v] or not d:
             continue  # stale, or every edge at v already listed
-        for eid in g.incidence[v]:
+        for eid in incidence[v]:
             if not listed[eid]:
                 listed[eid] = True
                 order.append(eid)
-                w = g.other_end(eid, v)
+                x, y = edges[eid]
+                w = x ^ y ^ v  # the other end
                 left[w] -= 1
                 heapq.heappush(heap, (left[w], w))
         left[v] = 0
@@ -280,18 +288,25 @@ def _twin_constraints(g: Graph, order: list[int]) -> list[tuple[int, ...]]:
     nothing of the edge order but that it is fixed before the search: p is
     the first position at u or u', so no edge before it touches either.
     """
-    by_neighbours: dict[frozenset[int], list[int]] = {}
-    for v in range(g.vertex_count):
-        nbrs = [g.other_end(eid, v) for eid in g.incidence[v]]
-        key = frozenset(nbrs)
-        if len(key) == len(nbrs):
-            by_neighbours.setdefault(key, []).append(v)
+    edges = g.edges
+    incidence = g.incidence
+    # neighbour bitmask -> vertices; a parallel edge leaves fewer bits than
+    # edges, which excludes its ends
+    by_neighbours: dict[int, list[int]] = {}
+    for v, ids in enumerate(incidence):
+        mask = 0
+        for eid in ids:
+            x, y = edges[eid]
+            mask |= 1 << (x ^ y ^ v)
+        if mask.bit_count() == len(ids):
+            by_neighbours.setdefault(mask, []).append(v)
     above: list[tuple[int, ...]] = [()] * g.edge_count
+    groups = [twins for twins in by_neighbours.values() if len(twins) > 1]
+    if not groups:
+        return above
     pos = {eid: p for p, eid in enumerate(order)}
-    for twins in by_neighbours.values():
-        if len(twins) < 2:
-            continue
-        edge_to = {v: {g.other_end(eid, v): eid for eid in g.incidence[v]}
+    for twins in groups:
+        edge_to = {v: {edges[eid][0] ^ edges[eid][1] ^ v: eid for eid in incidence[v]}
                    for v in twins}
         first = {v: min((pos[eid], w) for w, eid in edge_to[v].items()) for v in twins}
         for i, u in enumerate(twins):
@@ -302,20 +317,22 @@ def _twin_constraints(g: Graph, order: list[int]) -> list[tuple[int, ...]]:
     return above
 
 
-def _greedy_blocks(ends) -> list[int]:
-    """First-fit block assignment in the given edge order; always succeeds."""
-    blocks: list[set[int]] = []
+def _greedy_blocks(ends, n: int) -> tuple[list[int], list[int]]:
+    """First-fit block assignment in the given edge order, which always
+    succeeds, and the block bitmask of each of the n vertices.
+
+    The first block that misses both ends is the lowest bit clear in both
+    palettes: when every open block meets an end, that is the next block.
+    """
+    pal = [0] * n
     assign = []
     for u, v in ends:
-        for b, members in enumerate(blocks):
-            if u not in members and v not in members:
-                members.update((u, v))
-                assign.append(b)
-                break
-        else:
-            blocks.append({u, v})
-            assign.append(len(blocks) - 1)
-    return assign
+        used = pal[u] | pal[v]
+        bit = ~used & (used + 1)
+        pal[u] |= bit
+        pal[v] |= bit
+        assign.append(bit.bit_length() - 1)
+    return assign, pal
 
 
 def palette_index_naive(g: Graph) -> int:

@@ -336,7 +336,13 @@ def edge_subgraph(g: Graph, edge_ids) -> tuple[Graph, tuple[int, ...]]:
 
 
 def without_isolated(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """Drop degree-0 vertices, keeping edge ids intact (new vertex -> old)."""
+    """Drop degree-0 vertices, keeping edge ids intact (new vertex -> old).
+
+    With no degree-0 vertex, returns g itself, with its cached incidence and
+    degrees, and the identity map `tuple(range(n))`.
+    """
+    if not g.has_isolated_vertices():
+        return g, tuple(range(g.vertex_count))
     keep = sorted({v for edge in g.edges for v in edge})  # no list over all vertices
     local = {host: i for i, host in enumerate(keep)}
     edges = tuple((local[u], local[v]) for u, v in g.edges)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palette_index.coloring import palette_summary, verify_proper
-from palette_index.exact import (_saturation_order, palette_index_exact,
-                                 palette_index_naive)
+from palette_index.exact import (_saturation_order, _twin_constraints,
+                                 palette_index_exact, palette_index_naive)
 from palette_index.graph import (GraphError, build_graph,
                                  gen_complete_bipartite, gen_grid,
                                  gen_random_biregular, without_isolated)
@@ -149,6 +149,66 @@ def test_solver_matches_naive_on_twin_rich_graphs(g):
     result = palette_index_exact(g)
     assert result.proved
     assert result.value == palette_index_naive(g)
+    assert not verify_proper(g, result.witness)
+    assert palette_summary(g, result.witness).distinct == result.value
+
+
+def twin_constraints_by_frozenset(g, order):
+    """Reference for `_twin_constraints`: vertices grouped by the frozenset
+    of their neighbours, a parallel edge showing as a set shorter than the
+    neighbour list."""
+    by_neighbours = {}
+    for v in range(g.vertex_count):
+        nbrs = [g.other_end(eid, v) for eid in g.incidence[v]]
+        key = frozenset(nbrs)
+        if len(key) == len(nbrs):
+            by_neighbours.setdefault(key, []).append(v)
+    above = [()] * g.edge_count
+    pos = {eid: p for p, eid in enumerate(order)}
+    for twins in by_neighbours.values():
+        if len(twins) < 2:
+            continue
+        edge_to = {v: {g.other_end(eid, v): eid for eid in g.incidence[v]}
+                   for v in twins}
+        first = {v: min((pos[eid], w) for w, eid in edge_to[v].items()) for v in twins}
+        for i, u in enumerate(twins):
+            for u2 in twins[i + 1:]:
+                (p, w), other = min((first[u], u2), (first[u2], u))
+                q = pos[edge_to[other][w]]
+                above[q] += (p,)
+    return above
+
+
+@st.composite
+def k2_70_minus_edges(draw):
+    """K_{2,70} less a few drawn edges, maybe with one edge doubled: 72
+    vertices, so neighbour bitmasks of the hub side pass 64 bits."""
+    pool = [(i, 2 + j) for i in range(2) for j in range(70)]
+    gone = draw(st.sets(st.sampled_from(pool), max_size=12))
+    edges = [e for e in pool if e not in gone]
+    if draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))
+    g, _ = without_isolated(build_graph(72, draw(st.permutations(edges))))
+    return g
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(twin_rich_graphs(), k2_70_minus_edges()), st.randoms())
+def test_twin_constraints_match_the_frozenset_grouping(g, rng):
+    order = list(range(g.edge_count))
+    rng.shuffle(order)
+    for o in (order, _saturation_order(g)):
+        assert _twin_constraints(g, o) == twin_constraints_by_frozenset(g, o)
+
+
+@pytest.mark.parametrize("g", [gen_complete_bipartite(2, 2),
+                               gen_complete_bipartite(4, 4), cycle(6)],
+                         ids=["k2-2", "k4-4", "c6"])
+def test_seed_at_the_degree_bound_returns_a_proper_witness(g):
+    # the greedy seed meets the degree-count bound, so no node is searched
+    # and the seed's witness is returned as it stands
+    result = palette_index_exact(g)
+    assert (result.value, result.proved, result.nodes) == (1, True, 0)
     assert not verify_proper(g, result.witness)
     assert palette_summary(g, result.witness).distinct == result.value
 

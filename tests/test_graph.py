@@ -277,6 +277,20 @@ def test_without_isolated_preserves_edge_ids():
     assert trimmed.edges == ((0, 1), (1, 2))
 
 
+def test_without_isolated_returns_its_input_when_nothing_is_isolated():
+    g = gen_grid(3, 4)
+    trimmed, vmap = without_isolated(g)
+    assert trimmed is g
+    assert vmap == tuple(range(12))
+
+
+def test_without_isolated_drops_isolated_vertices_at_both_ends():
+    g = build_graph(7, [(2, 5), (1, 2), (5, 3)])
+    trimmed, vmap = without_isolated(g)
+    assert vmap == (1, 2, 3, 5)
+    assert trimmed == Graph(4, ((1, 3), (0, 1), (3, 2)))
+
+
 def test_without_isolated_builds_no_per_vertex_list():
     g = Graph(3_000_000, ())
     trimmed, vmap = without_isolated(g)
