@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 from .coloring import palette_summary
 from .decompose import (cyclic_interval_coloring, factor_arcs,
@@ -121,19 +121,11 @@ def color_deg5(g: Graph) -> ConstructionResult:
 def _color_deg5(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     # a perfect matching earns 12 from either deg5 row
     if 2 * len(f.matching) == g.vertex_count:
-        return _five_on_matching(g, f.matching, 12, "deg5-perfect-matching")
-    return _five_on_matching(g, matching_covering_max_degree(g, f.bip), bound, "deg5")
-
-
-def _five_on_matching(g: Graph, matching: frozenset[int], bound: int,
-                      tag: str) -> ConstructionResult:
-    """Color 5 on `matching`, the rest of g by doubling."""
-    rest = [eid for eid in range(g.edge_count) if eid not in matching]
-    colors = [0] * g.edge_count
-    _color_part(g, rest, color_via_doubling, colors)
-    for eid in matching:
-        colors[eid] = 5
-    return _finish(g, colors, bound, tag)
+        matching, bound, tag = f.matching, 12, "deg5-perfect-matching"
+    else:
+        matching, tag = matching_covering_max_degree(g, f.bip), "deg5"
+    return _in_bands(g, f, [(_rest(g, matching), color_via_doubling),
+                            (matching, None)], bound, tag)
 
 
 # ----------------------------------------------------------------------
@@ -278,23 +270,33 @@ def _split_classes(g: Graph, bip: Bipartition, unit: int) -> list[frozenset[int]
     return peel_perfect_matchings(split, Bipartition(side_of))
 
 
-def _color_part(g: Graph, edge_ids, build: Callable[[Graph], ConstructionResult],
-                colors: list[int], shift: int = 0) -> None:
-    """Color the subgraph on an edge subset, isolated vertices dropped, with
-    `build`, and write the shifted colors into `colors` under g's edge ids."""
-    sub, kept = edge_subgraph(g, edge_ids)
-    trimmed, _ = without_isolated(sub)  # edge ids survive the trim
-    for eid, c in zip(kept, build(trimmed).coloring):
-        colors[eid] = c + shift
+def _rest(g: Graph, part: frozenset[int]) -> list[int]:
+    return [eid for eid in range(g.edge_count) if eid not in part]
 
 
-def _color_factor(g: Graph, factor: frozenset[int], big_side: tuple[int, ...],
-                  first: int, colors: list[int]) -> None:
-    """Give each big-side vertex's factor edges, in id order, the colors
-    first, first+1, ..."""
-    for y in big_side:
-        for k, eid in enumerate(e for e in g.incidence[y] if e in factor):
-            colors[eid] = first + k
+def _in_bands(g: Graph, f: RouteFacts,
+              parts: list[tuple[Sequence[int],
+                                Callable[[Graph], ConstructionResult] | None]],
+              bound: int, tag: str) -> ConstructionResult:
+    """Color each part of g's edges in its own band: a part's colors are
+    shifted by the sum of the maximum degrees of the parts before it.
+
+    A part with a builder is built on its subgraph with isolated vertices
+    dropped (edge ids survive the trim).  A part without one is colored by
+    Kőnig on g's sides, which keep the subgraph's vertex set; on a factor
+    whose side-X vertices have one edge each, such as a star forest or a
+    matching, that gives each side-Y vertex's k-th edge, by id, color k.
+    """
+    colors = [0] * g.edge_count
+    shift = 0
+    for edge_ids, build in parts:
+        sub, kept = edge_subgraph(g, edge_ids)
+        part = (konig_coloring(sub, f.bip) if build is None
+                else build(without_isolated(sub)[0]).coloring)
+        for eid, c in zip(kept, part):
+            colors[eid] = c + shift
+        shift += sub.max_degree
+    return _finish(g, colors, bound, tag)
 
 
 def color_3_3r(g: Graph) -> ConstructionResult:
@@ -308,20 +310,10 @@ def color_3_3r(g: Graph) -> ConstructionResult:
 
 
 def _color_3_3r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
-    r = f.prof.b // 3
     factor = _split_classes(g, f.bip, 3)[0]
-    rest = [eid for eid in range(g.edge_count) if eid not in factor]
-    colors = [0] * g.edge_count
-    _color_part(g, rest, color_even_bipartite, colors)
-    if f.prof.a == 3:
-        _color_factor(g, factor, f.prof.y_vertices, 2 * r + 1, colors)
-    else:
-        # each small-side vertex holds r-1 factor edges, so per-vertex color
-        # lists could clash; a degree-many coloring of F avoids that
-        _color_part(g, factor, lambda h: _build_row("konig-biregular", h),
-                    colors, 2 * r)
     tag = "deg3-multiple" if f.prof.a == 3 else "deg3-multiple-complement"
-    return _finish(g, colors, bound, tag)
+    return _in_bands(g, f, [(_rest(g, factor), color_even_bipartite),
+                            (factor, None)], bound, tag)
 
 
 def color_4_4r(g: Graph) -> ConstructionResult:
@@ -332,13 +324,9 @@ def color_4_4r(g: Graph) -> ConstructionResult:
 
 
 def _color_4_4r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
-    r = f.prof.b // 4
-    red, blue = parity_split(g)
-    colors = [0] * g.edge_count
-    _color_part(g, red, color_even_bipartite, colors)
-    _color_part(g, blue, color_even_bipartite, colors, 2 * r)
     tag = "deg4-multiple" if f.prof.a == 4 else "deg4-multiple-complement"
-    return _finish(g, colors, bound, tag)
+    return _in_bands(g, f, [(half, color_even_bipartite)
+                            for half in parity_split(g)], bound, tag)
 
 
 def color_5_5r(g: Graph) -> ConstructionResult:
@@ -349,13 +337,9 @@ def color_5_5r(g: Graph) -> ConstructionResult:
 
 
 def _color_5_5r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
-    r = f.prof.b // 5
     factor = _split_classes(g, f.bip, 5)[0]
-    rest = [eid for eid in range(g.edge_count) if eid not in factor]
-    colors = [0] * g.edge_count
-    _color_part(g, rest, color_4_4r, colors)
-    _color_factor(g, factor, f.prof.y_vertices, 4 * r + 1, colors)
-    return _finish(g, colors, bound, "deg5-multiple")
+    return _in_bands(g, f, [(_rest(g, factor), color_4_4r), (factor, None)],
+                     bound, "deg5-multiple")
 
 
 def color_r_2r(g: Graph) -> ConstructionResult:
@@ -371,21 +355,17 @@ def color_r_2r(g: Graph) -> ConstructionResult:
 
 def _color_r_2r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     r = f.prof.a
-    k = r // 2
-    colors = [0] * g.edge_count
     if r % 2 == 0:
-        for i, piece in enumerate(_split_classes(g, f.bip, k)):
-            _color_part(g, piece, color_even_bipartite, colors, 4 * i)
+        parts = [(piece, color_even_bipartite)
+                 for piece in _split_classes(g, f.bip, r // 2)]
     else:
         # side X has degree r, so only side Y really splits
         factor = _split_classes(g, f.bip, r)[0]
-        rest = [eid for eid in range(g.edge_count) if eid not in factor]
-        # the rest is (2k,4k)-biregular and lands in the even case
-        _color_part(g, rest, color_r_2r, colors)
-        _color_factor(g, factor, f.prof.y_vertices, 4 * k + 1, colors)
         assert all(sum(e in factor for e in g.incidence[y]) == 2
                    for y in f.prof.y_vertices)
-    return _finish(g, colors, bound, "half-degree-family")
+        # the rest is (r-1,2r-2)-biregular and lands in the even case
+        parts = [(_rest(g, factor), color_r_2r), (factor, None)]
+    return _in_bands(g, f, parts, bound, "half-degree-family")
 
 
 def color_3_5(g: Graph) -> ConstructionResult:
@@ -395,8 +375,9 @@ def color_3_5(g: Graph) -> ConstructionResult:
 
 
 def _color_3_5(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
-    return _five_on_matching(g, matching_covering_max_degree(g, f.bip), bound,
-                             "deg35-matching")
+    matching = matching_covering_max_degree(g, f.bip)
+    return _in_bands(g, f, [(_rest(g, matching), color_via_doubling),
+                            (matching, None)], bound, "deg35-matching")
 
 
 def color_2_odd(g: Graph) -> ConstructionResult:
@@ -407,15 +388,6 @@ def color_2_odd(g: Graph) -> ConstructionResult:
 
 def _color_2_odd(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     return _finish(g, f.cyclic, bound, "two-odd-cyclic")
-
-
-def _star_coloring(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
-    """Color a disjoint union of stars: each center's edges get 1..b."""
-    colors = [0] * g.edge_count
-    for center in f.prof.y_vertices:
-        for k, eid in enumerate(g.incidence[center]):
-            colors[eid] = k + 1
-    return _finish(g, colors, bound, "star")
 
 
 def _konig_result(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
@@ -535,7 +507,7 @@ def _deg5_perfect_bound(f: RouteFacts) -> int | None:
 # `color_auto` builds the applicable row with the smallest promised bound;
 # ties go to the row listed first.  It compares promises, not results, and
 # builds one row, so a row with a looser bound can give fewer palettes: on
-# gen_random_biregular(5, 9, 2, 0) `doubling` (bound 70) gives 22 and
+# gen_random_biregular(5, 9, 2, 0) `doubling` (bound 70) gives 23 and
 # `konig-biregular` (bound 127) would give 19.
 #
 # A row whose construction is a public builder that the benchmark's tracer
@@ -547,7 +519,9 @@ ROUTES: tuple[Route, ...] = (
           lambda f: None if f.dims is None else grid_palette_value(*f.dims),
           _color_grid_edges),
     Route("star", "disjoint stars",
-          _on_profile(lambda a, b: b + 1 if a == 1 < b else None), _star_coloring),
+          _on_profile(lambda a, b: b + 1 if a == 1 < b else None),
+          # Kőnig on the profile's sides: each center's k-th edge gets k
+          lambda g, f, bound: _finish(g, konig_coloring(g, f.bip), bound, "star")),
     Route("even-family", "(2,2r)- or (2r-2,2r)-biregular",
           _on_profile(lambda a, b: b // 2 + 1
                       if b % 2 == 0 and a in (2, b - 2) and a < b else None),

@@ -470,17 +470,19 @@ def test_3_3r_random_instances():
 
 
 def test_finish_rejects_an_edge_a_builder_left_uncolored(monkeypatch):
-    # the (3,3r) row colors its factor last; skip one factor edge, which
-    # keeps the 0 its builder's list starts with
-    real, missed = constructions._color_factor, []
+    # the (3,3r) row colors its factor last, by Kőnig; one color short, the
+    # factor's last edge keeps the 0 its row's list starts with
+    g = gen_random_biregular(3, 9, 2, 4)
+    real, missed = constructions.konig_coloring, []
 
-    def miss_one(g, factor, big_side, first, colors):
-        missed.append(min(factor))
-        real(g, factor - {missed[0]}, big_side, first, colors)
+    def one_short(sub, bip):
+        missed.append(g.edges.index(sub.edges[-1]))  # g is simple
+        return real(sub, bip)[:-1]
 
-    monkeypatch.setattr(constructions, "_color_factor", miss_one)
+    monkeypatch.setattr(constructions, "konig_coloring", one_short)
     with pytest.raises(ColoringError) as err:
-        color_3_3r(gen_random_biregular(3, 9, 2, 4))
+        color_3_3r(g)
+    assert len(missed) == 1
     assert str(err.value) == f"edge {missed[0]} has non-positive color 0"
 
 
@@ -583,6 +585,55 @@ def test_2_odd_colors_are_pinned_across_python_versions(monkeypatch):
     monkeypatch.setattr(decompose, "_REPAIR_STEPS_PER_EDGE", 1)
     with pytest.raises(GraphError):
         color_2_odd(g)
+
+
+def deg5_graphs(count, rng):
+    """Simple bipartite graphs of maximum degree 5 and no isolated vertex,
+    on 4 to 8 vertices a side; equal sides often hold a perfect matching."""
+    graphs = []
+    while len(graphs) < count:
+        xs, ys = rng.randint(4, 8), rng.randint(4, 8)
+        deg, edges = [0] * (xs + ys), set()
+        for _ in range(4 * (xs + ys)):
+            u, v = rng.randrange(xs), rng.randrange(xs, xs + ys)
+            if deg[u] < 5 and deg[v] < 5 and (u, v) not in edges:
+                edges.add((u, v))
+                deg[u] += 1
+                deg[v] += 1
+        if 0 not in deg and 5 in deg:
+            graphs.append(build_graph(xs + ys, sorted(edges)))
+    return graphs
+
+
+def test_family_row_colorings_are_pinned():
+    # every byte of every family row's coloring, by builder and theorem tag:
+    # a change to how a row colors its parts or its extra factor moves it
+    rng = random.Random(27)
+    runs = [(build, gen_random_biregular(a, b, scale, seed))
+            for build, a, b in ((color_3_3r, 3, 6), (color_3_3r, 3, 9),
+                                (color_3_3r, 6, 9), (color_3_3r, 9, 12),
+                                (color_4_4r, 4, 8), (color_4_4r, 4, 12),
+                                (color_4_4r, 8, 12), (color_5_5r, 5, 10),
+                                (color_5_5r, 5, 15), (color_r_2r, 2, 4),
+                                (color_r_2r, 3, 6), (color_r_2r, 4, 8),
+                                (color_r_2r, 5, 10), (color_r_2r, 7, 14),
+                                (color_3_5, 3, 5), (color_auto, 1, 4),
+                                (color_auto, 1, 7))
+            for scale, seed in ((1, 0), (2, 1), (3, 2))]
+    runs += [(color_3_3r, relabeled_union(3, gen_random_biregular(6, 9, 1, 0), rng)),
+             (color_auto, relabeled_union(4, gen_random_biregular(1, 5, 2, 0), rng))]
+    runs += [(color_deg5, g) for g in deg5_graphs(20, rng)]
+    h, tags = hashlib.sha256(), set()
+    for build, g in runs:
+        result = build(g)
+        tags.add(result.theorem_tag)
+        h.update(repr((result.theorem_tag, result.coloring)).encode())
+    assert tags == {"deg3-multiple", "deg3-multiple-complement", "deg4-multiple",
+                    "deg4-multiple-complement", "deg5-multiple",
+                    "half-degree-family", "deg35-matching", "deg5",
+                    "deg5-perfect-matching", "star"}
+    assert h.hexdigest() == (
+        "5728f62138178012527b9e835c2a5e84f23c1ee1991b920f1db9adc55964fc24")
 
 
 def test_deg5_rejects_isolated():
