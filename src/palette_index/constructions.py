@@ -396,8 +396,9 @@ def _konig_result(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
 
 def _is_complete_bipartite(g: Graph, prof: BiregularProfile) -> bool:
     xs, ys = len(prof.x_vertices), len(prof.y_vertices)
-    return (g.is_simple() and g.edge_count == xs * ys
-            and prof.b == xs and prof.a == ys)
+    # the counts first: the O(m) simplicity scan only runs when they match
+    return (g.edge_count == xs * ys and prof.b == xs and prof.a == ys
+            and g.is_simple())
 
 
 def _complete_on_graph(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:

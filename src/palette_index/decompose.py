@@ -10,15 +10,16 @@ paths are swapped by `swap_kempe_chain`, one walk that exchanges two colors
 in place over an `at[v][c] -> edge` table; `cyclic_interval_coloring`
 swaps its chains with the same walk.
 
-2-factors come from one such table over the arcs of an Euler orientation
-of the graph, so that every vertex has one out-arc and one in-arc of each
-color.  The padding loops that make the graph regular are appended as
-arcs, not walked.  The arcs are colored level by level: a level of even
-degree splits into two halves along closed trails, and Kőnig colors only
-the levels of odd degree, so the table costs O(m log r) when r is a power
-of two.  `factor_arcs` reads off that table, for each edge, its factor
-and the vertex its arc leaves, and `two_factorization` groups the edges
-by factor.  In a bipartite graph a factor's cycles alternate arcs that
+2-factors come from a proper coloring of the arcs of an Euler
+orientation of the graph, kept as one color per arc in a flat list, so
+that every vertex has one out-arc and one in-arc of each color.  The
+padding loops that make the graph regular are appended as arcs, not
+walked.  The arcs are colored level by level: a level of even degree
+splits into two halves along closed trails, and Kőnig colors only the
+levels of odd degree, so the coloring costs O(m log r) when r is a power
+of two.  `factor_arcs` reads off each edge's arc its factor (the arc's
+color) and the vertex the arc leaves, and `two_factorization` groups the
+edges by factor.  In a bipartite graph a factor's cycles alternate arcs that
 leave side X with arcs that leave side Y, so the side an arc leaves is
 all `color_even_bipartite` needs to alternate a factor's color pair.
 
@@ -105,8 +106,9 @@ def two_factorization(g: Graph) -> tuple[frozenset[int], ...]:
 
 def factor_arcs(g: Graph) -> tuple[list[int], list[int]]:
     """`(factor, tail)` by edge id: the 2-factor (1..r) of g padded with
-    loops to its maximum degree 2r that holds the edge, and the vertex its
-    arc leaves in the Euler orientation that `_two_factor_table` colors.
+    loops to its maximum degree 2r that holds the edge, which is the color
+    `_two_factor_table` gives the edge's arc, and the vertex that arc leaves
+    in the Euler orientation.
 
     Requires every degree to be even.  Each factor is a set of directed
     cycles, one out-arc and one in-arc per vertex, so in a bipartite graph
@@ -116,20 +118,19 @@ def factor_arcs(g: Graph) -> tuple[list[int], list[int]]:
     """
     if not g.is_even():
         raise GraphError("all degrees must be even")
-    n, m, r = g.vertex_count, g.edge_count, g.max_degree // 2
+    m, r = g.edge_count, g.max_degree // 2
     factor, tail = [0] * m, [0] * m
     if r == 0:
         return factor, tail
-    at, source = _two_factor_table(g, r)
-    for v, row in enumerate(at[:n]):
-        for i in range(1, r + 1):
-            eid = source[row[i]]
-            if eid < m:  # not a padding loop
-                factor[eid], tail[eid] = i, v
+    color, tails, source = _two_factor_table(g, r)
+    # arcs 0..m-1 are g's edges and the rest padding loops, which zip drops
+    for eid, i, t in zip(source[:m], color, tails):
+        factor[eid], tail[eid] = i, t
     return factor, tail
 
 
-def _two_factor_table(g: Graph, r: int) -> tuple[list[list[int]], list[int]]:
+def _two_factor_table(g: Graph, r: int
+                      ) -> tuple[list[int], list[int], list[int]]:
     """Petersen's 2-factorization of g padded to 2r-regular, as a proper
     r-coloring of the arcs of an Euler orientation.
 
@@ -139,9 +140,11 @@ def _two_factor_table(g: Graph, r: int) -> tuple[list[list[int]], list[int]]:
     degree d gets r - d/2 padding loops as arcs (v, n + v), with edge ids
     after g's: a loop gives the same arc either way round, so it need not be
     walked.  The realization is r-regular, and `_regular_bipartite_table`
-    colors its arcs with 1..r: `at[t][i]` is t's out-arc of color i and
-    `at[n + h][i]` h's in-arc, so each color is a spanning 2-regular factor.
-    Returns `at` and `source[a]`, the edge id of arc a.
+    colors its arcs with 1..r so that every vertex has one out-arc and one
+    in-arc of each color: each color is a spanning 2-regular factor.
+    Returns, by arc, `color[a]`, `tails[a]` and `source[a]`, the edge id of
+    arc a; arcs 0..m-1 are g's edges, in circuit order, and the rest the
+    padding loops.
     """
     n, m, edges = g.vertex_count, g.edge_count, g.edges
     ends = [x ^ y for x, y in edges]
@@ -160,17 +163,24 @@ def _two_factor_table(g: Graph, r: int) -> tuple[list[list[int]], list[int]]:
     tails += pad
     heads += map(n.__add__, pad)
     source += range(m, m + len(pad))
-    at = _regular_bipartite_table(n, r, tails, heads)
-    assert all(row.count(-1) == 1 for row in at), \
+    color = _regular_bipartite_table(n, r, tails, heads)
+    # n*r arcs, and at every tail and head the colors 1..r: so one arc of
+    # each color leaves and enters each vertex
+    seen = [0] * (2 * n)
+    for t, h, c in zip(tails, heads, color):
+        seen[t] |= 1 << c
+        seen[h] |= 1 << c
+    full = (1 << (r + 1)) - 2
+    assert len(color) == n * r and seen.count(full) == 2 * n, \
         "a vertex misses an out-arc or an in-arc of some color"
-    return at, source
+    return color, tails, source
 
 
 def _regular_bipartite_table(n: int, r: int, tails: list[int],
-                             heads: list[int]) -> list[list[int]]:
-    """`at[v][c]`, the arc of color c at v (slot 0 unused), of a proper
-    r-coloring of an r-regular bipartite multigraph on 2n vertices whose
-    arc a runs from `tails[a]` < n to `heads[a]` >= n.
+                             heads: list[int]) -> list[int]:
+    """`color[a]`, in 1..r, of each arc a of a proper r-coloring of an
+    r-regular bipartite multigraph on 2n vertices whose arc a runs from
+    `tails[a]` < n to `heads[a]` >= n.
 
     A stack holds levels: arc lists that are d-regular on every vertex, with
     the colors base+1..base+d to give.  A level of even d is split along
@@ -182,7 +192,7 @@ def _regular_bipartite_table(n: int, r: int, tails: list[int],
     one of degree 1 takes its one color.  When r is a power of two the cost
     is O(|arcs| log r).
     """
-    at = [[-1] * (r + 1) for _ in range(2 * n)]
+    color = [0] * len(tails)
     mate_t = [0] * len(tails)  # the arc paired with each arc at its tail
     mate_h = [0] * len(tails)  # and at its head
     # the degree of the last even level that walked each arc: an arc's
@@ -194,14 +204,13 @@ def _regular_bipartite_table(n: int, r: int, tails: list[int],
     while levels:
         level, base, d = levels.pop()
         if d == 1:
-            c = base + 1
             for a in level:
-                at[tails[a]][c] = at[heads[a]][c] = a
+                color[a] = base + 1
         elif d % 2:
             arcs = [(tails[a], heads[a]) for a in level]
-            _, color, _ = _konig_table(2 * n, d, arcs, [SIDE_X] * n + [SIDE_Y] * n)
-            for a, c in zip(level, color):
-                at[tails[a]][base + c] = at[heads[a]][base + c] = a
+            _, konig, _ = _konig_table(2 * n, d, arcs, [SIDE_X] * n + [SIDE_Y] * n)
+            for a, c in zip(level, konig):
+                color[a] = base + c
         else:
             pending = [-1] * (2 * n)
             for a in level:
@@ -231,7 +240,7 @@ def _regular_bipartite_table(n: int, r: int, tails: list[int],
             half = d // 2
             levels.append((back, base + half, half))
             levels.append((forward, base, half))
-    return at
+    return color
 
 
 def maximum_matching(g: Graph, bip: Bipartition) -> frozenset[int]:
@@ -450,16 +459,16 @@ def split_part_vertices(g: Graph, target: int) -> tuple[Graph, tuple[int, ...]]:
             raise GraphError(f"vertex {v} has degree {d}, not divisible by {target}")
     if any(u == v for u, v in g.edges):
         raise GraphError("cannot split a graph with loops")
+    edges = g.edges
     back: list[int] = []
-    ends: list[list[int]] = [[] for _ in g.edges]  # the new ends of each edge
+    # the new ends of each edge: the copy of its first end, and of its second
+    firsts, seconds = [0] * g.edge_count, [0] * g.edge_count
     for v, inc in enumerate(g.incidence):
+        base = len(back)
         for pos, eid in enumerate(inc):
-            ends[eid].append(len(back) + pos // target)
+            (firsts if edges[eid][0] == v else seconds)[eid] = base + pos // target
         back.extend([v] * (len(inc) // target))
-    # vertices are visited in order, so the ends stay in (u, v) order when u < v
-    new_edges = tuple((a, b) if u < v else (b, a)
-                      for (u, v), (a, b) in zip(g.edges, ends))
-    return Graph(len(back), new_edges), tuple(back)
+    return Graph(len(back), tuple(zip(firsts, seconds))), tuple(back)
 
 
 def parity_split(g: Graph) -> tuple[frozenset[int], frozenset[int]]:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from palette_index import coloring
 from palette_index.coloring import (ColoringError, PaletteSummary,
                                     palette_summary, verify_proper)
 from palette_index.decompose import konig_coloring
@@ -120,6 +121,31 @@ def summary_or_error(summarize, g, c):
 @given(colored_multigraphs())
 def test_palette_summary_matches_the_two_walk_reference(case):
     g, c = case
+    assert summary_or_error(palette_summary, g, c) == summary_or_error(reference_summary, g, c)
+
+
+@settings(deadline=None, max_examples=200)
+@given(colored_multigraphs(), st.sampled_from((10**18, 2**200)))
+def test_palette_summary_matches_the_reference_on_huge_colors(case, offset):
+    # a positive color c becomes offset + c, so the ranks are those of the
+    # small colors and an error names the huge color
+    g, c = case
+    huge = [offset + col if col > 0 else col for col in c]
+    assert summary_or_error(palette_summary, g, huge) == \
+        summary_or_error(reference_summary, g, huge)
+
+
+@pytest.mark.parametrize("count", [coloring._MASK_COLORS, coloring._MASK_COLORS + 1])
+@pytest.mark.parametrize("clash", [False, True])
+def test_palette_summary_matches_the_reference_past_the_mask_colors(count, clash):
+    # paths of three edges colored with `count` distinct colors; when
+    # `clash`, the last edge takes its neighbour's color
+    g = Graph(4 * count, tuple((4 * i + j, 4 * i + j + 1)
+                               for i in range(count) for j in range(3)))
+    c = [1 + (e // 3 + e % 3) % count for e in range(3 * count)]
+    if clash:
+        c[3 * count - 1] = c[3 * count - 2]
+    assert len(set(c)) == count
     assert summary_or_error(palette_summary, g, c) == summary_or_error(reference_summary, g, c)
 
 

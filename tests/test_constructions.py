@@ -85,14 +85,16 @@ def test_even_bipartite_rejects_odd_degrees():
 def hand_walk_cycles(g):
     """Each 2-factor's cycles walked by hand, as (i, edge-id cycle) pairs:
     take factor i of g padded with loops up to the maximum degree from the
-    table `color_even_bipartite` reads (the edges of the out-arcs of color
-    i, one per vertex), drop the loops, and walk each cycle of factor i
-    from its smallest vertex along its smaller edge id."""
+    table `color_even_bipartite` reads (the edges of the arcs of color i,
+    one leaving each vertex), drop the loops, and walk each cycle of factor
+    i from its smallest vertex along its smaller edge id."""
     n, m, r = g.vertex_count, g.edge_count, g.max_degree // 2
-    at, source = decompose._two_factor_table(g, r)
+    color, tails, source = decompose._two_factor_table(g, r)
     cycles = []
     for i in range(1, r + 1):
-        real = sorted(source[at[v][i]] for v in range(n) if source[at[v][i]] < m)
+        arcs = [a for a, c in enumerate(color) if c == i]
+        assert sorted(tails[a] for a in arcs) == list(range(n))
+        real = sorted(source[a] for a in arcs if source[a] < m)
         inc = {}
         for eid in real:
             for v in g.edges[eid]:
@@ -634,6 +636,27 @@ def test_family_row_colorings_are_pinned():
                     "deg5-perfect-matching", "star"}
     assert h.hexdigest() == (
         "5728f62138178012527b9e835c2a5e84f23c1ee1991b920f1db9adc55964fc24")
+
+
+def test_route_colorings_are_pinned():
+    # every byte of the colorings of the rows outside the families, each
+    # taken by `color_auto`: a change to the 2-factor table, Kőnig's
+    # coloring, the cyclic-interval repair or the grid pattern moves it
+    graphs = [gen_grid(m, n) for m, n in ((3, 5), (6, 9), (12, 13))]
+    graphs += [gen_random_biregular(a, b, scale, seed)
+               for a, b in ((3, 3), (4, 4), (6, 6), (5, 7), (4, 7), (5, 9),
+                            (3, 7), (2, 5), (2, 7), (2, 9))
+               for scale, seed in ((2, 1), (3, 2))]
+    graphs += [gen_random_even_bipartite(d, seed) for d in (4, 6, 8, 10) for seed in (0, 1)]
+    h, routes = hashlib.sha256(), set()
+    for g in graphs:
+        routes.add(constructions.route_bounds(RouteFacts(g))[0][0].tag)
+        result = color_auto(g)
+        h.update(repr((result.theorem_tag, result.coloring)).encode())
+    assert routes == {"grid", "konig-regular", "konig-biregular", "even-pairs",
+                      "doubling", "two-odd-family"}
+    assert h.hexdigest() == (
+        "2b82dd3ed28f8933f4ed75028d1f07a70781681fbc639c0a02dc1f7402c88503")
 
 
 def test_deg5_rejects_isolated():

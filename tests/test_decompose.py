@@ -269,6 +269,23 @@ def test_two_factorization_partitions_the_edges_into_2_factors(g):
         assert sorted(tail[e] for e in edges) == list(range(g.vertex_count))
 
 
+@pytest.mark.parametrize("g", [gen_complete_bipartite(4, 4), gen_complete_bipartite(6, 6)],
+                         ids=["r2", "r3"])
+@pytest.mark.parametrize("wrong", [lambda c, r: c % r + 1, lambda c, r: 0,
+                                   lambda c, r: r + 1], ids=["other", "zero", "past-r"])
+def test_two_factor_table_checks_every_arc_color(monkeypatch, g, wrong):
+    table = decompose._regular_bipartite_table
+
+    def one_wrong(n, r, tails, heads):
+        color = table(n, r, tails, heads)
+        color[0] = wrong(color[0], r)
+        return color
+
+    monkeypatch.setattr(decompose, "_regular_bipartite_table", one_wrong)
+    with pytest.raises(AssertionError, match="misses an out-arc or an in-arc"):
+        factor_arcs(g)
+
+
 @st.composite
 def regular_bipartite_arcs(draw, r):
     """An r-regular bipartite multigraph with sides 0..n-1 and n..2n-1, as
@@ -294,20 +311,19 @@ def test_regular_bipartite_table_is_a_proper_r_coloring(r, data):
     nx = pytest.importorskip("networkx")
     n, arcs = data.draw(regular_bipartite_arcs(r))
     tails, heads = [t for t, _ in arcs], [h for _, h in arcs]
-    at = decompose._regular_bipartite_table(n, r, tails, heads)
-    classes = {c: [at[t][c] for t in range(n)] for c in range(1, r + 1)}
-    # every vertex sees every color exactly once, on its row's arcs
-    for v, row in enumerate(at):
-        assert row[0] == -1 and len(row) == r + 1
-        assert all(v in arcs[a] for a in row[1:])
-        seen = sorted(c for c in classes for a in classes[c] if v in arcs[a])
+    color = decompose._regular_bipartite_table(n, r, tails, heads)
+    assert len(color) == len(arcs)
+    classes = {c: [a for a, col in enumerate(color) if col == c] for c in range(1, r + 1)}
+    # every vertex sees every color exactly once, on its arcs
+    for v in range(2 * n):
+        seen = sorted(color[a] for a, arc in enumerate(arcs) if v in arc)
         assert seen == list(range(1, r + 1))
     # each color class is a perfect matching of the multigraph
     h = nx.MultiGraph()
     h.add_nodes_from(range(2 * n))
     h.add_edges_from(arcs)
     for c, cls in classes.items():
-        assert sorted(cls) == sorted(at[n + k][c] for k in range(n))
+        assert len(cls) == n
         assert nx.is_perfect_matching(h, {arcs[a] for a in cls})
     assert sorted(a for cls in classes.values() for a in cls) == list(range(len(arcs)))
 
