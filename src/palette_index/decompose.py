@@ -123,8 +123,8 @@ def factor_arcs(g: Graph) -> tuple[list[int], list[int]]:
     if r == 0:
         return factor, tail
     color, tails, source = _two_factor_table(g, r)
-    # arcs 0..m-1 are g's edges and the rest padding loops, which zip drops
-    for eid, i, t in zip(source[:m], color, tails):
+    # zip stops at the padding loops, the arcs after g's m edges
+    for eid, i, t in zip(source, color, tails):
         factor[eid], tail[eid] = i, t
     return factor, tail
 
@@ -137,16 +137,16 @@ def _two_factor_table(g: Graph, r: int
     Each component's Eulerian circuit, walked on g itself, is oriented from
     its smallest vertex, and arc a from tail t to head h is the edge
     (t, n + h) of the in/out bipartite realization.  Then every vertex v of
-    degree d gets r - d/2 padding loops as arcs (v, n + v), with edge ids
-    after g's: a loop gives the same arc either way round, so it need not be
+    degree d gets r - d/2 padding loops as arcs (v, n + v), after g's
+    arcs: a loop gives the same arc either way round, so it need not be
     walked.  The realization is r-regular, and `_regular_bipartite_table`
     colors its arcs with 1..r so that every vertex has one out-arc and one
     in-arc of each color: each color is a spanning 2-regular factor.
-    Returns, by arc, `color[a]`, `tails[a]` and `source[a]`, the edge id of
-    arc a; arcs 0..m-1 are g's edges, in circuit order, and the rest the
-    padding loops.
+    Returns, by arc, `color[a]` and `tails[a]`, and `source[a]`, the edge
+    id of arc a < m: arcs 0..m-1 are g's edges, in circuit order, and the
+    rest the padding loops.
     """
-    n, m, edges = g.vertex_count, g.edge_count, g.edges
+    n, edges = g.vertex_count, g.edges
     ends = [x ^ y for x, y in edges]
     tails: list[int] = []
     heads: list[int] = []
@@ -162,7 +162,6 @@ def _two_factor_table(g: Graph, r: int
     pad = [v for v, d in enumerate(g.degrees) for _ in range(r - d // 2)]
     tails += pad
     heads += map(n.__add__, pad)
-    source += range(m, m + len(pad))
     color = _regular_bipartite_table(n, r, tails, heads)
     # n*r arcs, and at every tail and head the colors 1..r: so one arc of
     # each color leaves and enters each vertex

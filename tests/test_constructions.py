@@ -94,7 +94,7 @@ def hand_walk_cycles(g):
     for i in range(1, r + 1):
         arcs = [a for a, c in enumerate(color) if c == i]
         assert sorted(tails[a] for a in arcs) == list(range(n))
-        real = sorted(source[a] for a in arcs if source[a] < m)
+        real = sorted(source[a] for a in arcs if a < m)
         inc = {}
         for eid in real:
             for v in g.edges[eid]:
