@@ -11,11 +11,10 @@ from .analysis import (BoundEntry, BoundReport, PaletteTwoCertificate,
                        palette_lower_bound, upper_bound_catalog)
 from .coloring import (ColoringError, PaletteSummary, Violation,
                        palette_summary, verify_proper)
-from .constructions import (ROUTES, ConstructionResult, color_2_odd,
+from .constructions import (ROUTES, ConstructionResult, build_route,
                             color_3_3r, color_3_5, color_4_4r, color_5_5r,
                             color_auto, color_biregular_auto,
-                            color_complete_bipartite,
-                            color_complete_bipartite_on, color_deg5,
+                            color_complete_bipartite, color_deg5,
                             color_even_bipartite, color_grid, color_grid_on,
                             color_r_2r, color_via_doubling, grid_palette_value,
                             recognize_grid)

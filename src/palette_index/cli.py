@@ -1,6 +1,10 @@
 """Command-line surface: generate graphs, color them, query bounds, run the
 exact solver, verify colorings, classify, and run the reproduction suite.
 
+`color --strategy` takes `auto` (`color_auto`) or the tag of one
+`constructions.ROUTES` row (`build_route`); the route table is the only
+place a coloring is named.
+
 Exit codes: 0 success, 1 failed verification or suite, 2 usage or malformed
 input, 3 `exact` stopped by its budget (the partial result is still printed).
 """
@@ -12,10 +16,7 @@ import sys
 
 from .analysis import classify_full_palette, upper_bound_catalog
 from .coloring import ColoringError, palette_summary, verify_proper
-from .constructions import (color_auto, color_biregular_auto,
-                            color_complete_bipartite_on, color_deg5,
-                            color_even_bipartite, color_grid_on,
-                            color_via_doubling)
+from .constructions import ROUTES, build_route, color_auto
 from .exact import palette_index_exact
 from .fileformat import (FormatError, parse_coloring, parse_graph,
                          serialize_coloring, serialize_graph)
@@ -56,15 +57,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-_STRATEGIES = {"auto": color_auto, "even": color_even_bipartite,
-               "doubling": color_via_doubling, "deg5": color_deg5,
-               "grid": color_grid_on, "kab": color_complete_bipartite_on,
-               "biregular": color_biregular_auto}
-
-
 def _cmd_color(args) -> int:
     g = _load_graph(args.graph)
-    result = _STRATEGIES[args.strategy](g)
+    result = (color_auto(g) if args.strategy == "auto"
+              else build_route(args.strategy, g))
     text = serialize_coloring(result.coloring, result.palettes)
     _emit(text, args.output)
     sys.stdout.write(f"palettes={result.palettes} "
@@ -125,7 +121,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    report = run_suite(args.filter, include_slow=args.slow, threads=args.threads)
+    report = run_suite(args.filter, include_slow=args.slow)
     sys.stdout.write(report.render())
     slowest = sorted(report.runtimes.items(), key=lambda kv: -kv[1])[:5]
     for case_id, seconds in slowest:
@@ -153,7 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="construct a bounded-palette coloring")
     p.add_argument("graph", nargs="?", default="-",
                    help="GraphFile path, or - for stdin")
-    p.add_argument("--strategy", choices=_STRATEGIES, default="auto")
+    p.add_argument("--strategy", choices=("auto", *(r.tag for r in ROUTES)),
+                   default="auto", help="auto, or the tag of one ROUTES row")
     p.add_argument("--output", help="write the ColoringFile here instead of stdout")
     p.set_defaults(func=_cmd_color)
 
@@ -182,8 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run only cases whose id contains this substring")
     p.add_argument("--slow", action="store_true",
                    help="include the exhaustive 6-vertex equivalence case")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker count (default: PALETTE_SUITE_THREADS or 1)")
     p.set_defaults(func=_cmd_suite)
     return parser
 

@@ -115,7 +115,7 @@ def color_deg5(g: Graph) -> ConstructionResult:
 
     With a perfect matching the palette bound drops from 23 to 12.
     """
-    return _build_row("deg5", g)
+    return build_route("deg5", g)
 
 
 def _color_deg5(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
@@ -178,7 +178,7 @@ def _grid_color(m: int, n: int, i: int, j: int, down: bool) -> int:
 def color_grid(m: int, n: int) -> ConstructionResult:
     """Color the m-by-n grid with at most 4 colors achieving the exact
     palette-index value (1, 2, 3, or 5 depending on the dimensions)."""
-    return _build_row("grid", gen_grid(m, n))
+    return build_route("grid", gen_grid(m, n))
 
 
 def _color_grid_edges(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
@@ -224,7 +224,7 @@ def recognize_grid(g: Graph) -> tuple[int, int] | None:
 
 def color_grid_on(g: Graph) -> ConstructionResult:
     """Color a graph recognized as a grid, keyed to its own edge ids."""
-    return _build_row("grid", g)
+    return build_route("grid", g)
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +249,7 @@ def color_complete_bipartite(a: int, b: int) -> ConstructionResult:
     if a < 1 or a >= b:
         raise GraphError(f"need 1 <= a < b, got ({a}, {b})")
     g = gen_complete_bipartite(a, b)
-    result = _build_row("complete-bipartite", g)
+    result = build_route("complete-bipartite", g)
     summary = palette_summary(g, result.coloring)
     full = frozenset(range(1, b + 1))
     assert all(summary.palette_of[i] == full for i in range(a))
@@ -306,7 +306,7 @@ def color_3_3r(g: Graph) -> ConstructionResult:
     meeting each big-side vertex r times; the rest is a graph with all
     degrees even, colored in pairs, and F gets the r extra colors.
     """
-    return _build_row("deg3-family", g)
+    return build_route("deg3-family", g)
 
 
 def _color_3_3r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
@@ -320,7 +320,7 @@ def color_4_4r(g: Graph) -> ConstructionResult:
     """Color a (4,4r)- or (4r-4,4r)-biregular graph within r*r + 1 palettes
     by parity-splitting into two half-degree graphs colored in disjoint
     pair ranges."""
-    return _build_row("deg4-family", g)
+    return build_route("deg4-family", g)
 
 
 def _color_4_4r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
@@ -333,7 +333,7 @@ def color_5_5r(g: Graph) -> ConstructionResult:
     """Color a (5,5r)-biregular graph within r**3 + 1 palettes: pull back a
     factor from the 5-regular split, color the remaining (4,4r) graph, and
     spend r extra colors on the factor."""
-    return _build_row("deg5-family", g)
+    return build_route("deg5-family", g)
 
 
 def _color_5_5r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
@@ -350,7 +350,7 @@ def color_r_2r(g: Graph) -> ConstructionResult:
     pulled-back (1,2) factor takes the last two colors and the rest recurses
     into the even case.
     """
-    return _build_row("half-family", g)
+    return build_route("half-family", g)
 
 
 def _color_r_2r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
@@ -371,23 +371,13 @@ def _color_r_2r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
 def color_3_5(g: Graph) -> ConstructionResult:
     """Color a (3,5)-biregular graph within 7 palettes: a matching saturating
     the degree-5 side takes color 5, the rest is colored by doubling."""
-    return _build_row("deg35-family", g)
+    return build_route("deg35-family", g)
 
 
 def _color_3_5(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     matching = matching_covering_max_degree(g, f.bip)
     return _in_bands(g, f, [(_rest(g, matching), color_via_doubling),
                             (matching, None)], bound, "deg35-matching")
-
-
-def color_2_odd(g: Graph) -> ConstructionResult:
-    """Color a (2,2r+1)-biregular graph within 2r+2 palettes, one full and
-    2r+1 pairs, when `cyclic_interval_coloring` finds its coloring."""
-    return _build_row("two-odd-family", g)
-
-
-def _color_2_odd(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
-    return _finish(g, f.cyclic, bound, "two-odd-cyclic")
 
 
 def _konig_result(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
@@ -415,12 +405,6 @@ def _complete_on_graph(g: Graph, f: RouteFacts, bound: int) -> ConstructionResul
             p, q = q, p
         colors[eid] = _complete_bipartite_color(a, b, u_index[p], v_index[q])
     return _finish(g, colors, bound, "complete-bipartite")
-
-
-def color_complete_bipartite_on(g: Graph) -> ConstructionResult:
-    """Color a graph recognized as K_{a,b} with a < b, whatever its vertex
-    labels, within 1 + b/gcd(a,b) palettes."""
-    return _build_row("complete-bipartite", g)
 
 
 # ----------------------------------------------------------------------
@@ -514,7 +498,8 @@ def _deg5_perfect_bound(f: RouteFacts) -> int | None:
 # A row whose construction is a public builder that the benchmark's tracer
 # wraps (`color_even_bipartite`, `color_via_doubling`) calls it through a
 # lambda, which looks the module attribute up when the row runs, so the
-# tracer's rebinding is seen.  Every other row names its body.
+# tracer's rebinding is seen.  Every other row names its body, or writes
+# it in place when it is one `_finish` call.
 ROUTES: tuple[Route, ...] = (
     Route("grid", "m-by-n grid in the generator's labeling",
           lambda f: None if f.dims is None else grid_palette_value(*f.dims),
@@ -532,7 +517,7 @@ ROUTES: tuple[Route, ...] = (
           "within the repair budget",
           lambda f: (f.prof.b + 1 if f.prof is not None and f.prof.a == 2
                      and f.prof.b % 2 == 1 and f.cyclic is not None else None),
-          _color_2_odd),
+          lambda g, f, bound: _finish(g, f.cyclic, bound, "two-odd-cyclic")),
     Route("deg3-family", "(3,3r)- or (3r-3,3r)-biregular, r >= 2",
           _on_profile(lambda a, b: (b // 3) ** 2 + 1
                       if b % 3 == 0 and b // 3 >= 2 and a in (3, b - 3) else None),
@@ -603,13 +588,20 @@ def _color_by_best_route(g: Graph, facts: RouteFacts) -> ConstructionResult:
     return route.build(g, facts, bound)
 
 
-def _build_row(tag: str, g: Graph) -> ConstructionResult:
-    """Build the ROUTES row `tag` on g; the public builder of a row checks
-    its input through the row's bound, so the row's condition is written
-    once."""
+def build_route(tag: str, g: Graph) -> ConstructionResult:
+    """Build the ROUTES row `tag` on g, even where `color_auto` takes another.
+
+    g is checked with the row's own bound, the condition `color_auto` tests,
+    so the condition is written once: isolated vertices are refused, and a
+    graph outside the row raises GraphError `graph is not <note>`, the row's
+    note.  On a graph in the row the coloring is the one `color_auto` builds
+    when it takes that row.
+    """
+    route = next((r for r in ROUTES if r.tag == tag), None)
+    if route is None:
+        raise ValueError(f"no route is tagged {tag!r}")
     if g.has_isolated_vertices():
         raise GraphError("isolated vertices are not allowed here")
-    route = next(r for r in ROUTES if r.tag == tag)
     facts = RouteFacts(g)
     bound = route.bound(facts)
     if bound is None:

@@ -369,26 +369,14 @@ def gen_random_even_bipartite(max_degree: int, seed: int) -> Graph:
         total = sum(x_degs)
         # enough Y-vertices that every degree fits on the other side
         y_count = max(-(-total // max_degree), max(x_degs))
-        y_degs = _split_into_even_parts(total, y_count, max_degree)
-        if y_degs is None:
-            continue
+        # equal even parts, each in 2..max_degree: parts filled up to the
+        # cap would fail the Gale–Ryser test from max degree 16 on
+        q, r = divmod(total // 2, y_count)
+        y_degs = [2 * q + 2] * r + [2 * q] * (y_count - r)
         g = _random_bipartite_with_degrees(x_degs, y_degs, rng, restarts=40)
         if g is not None:
             return g
     raise GraphError(f"failed to sample an even bipartite graph for seed {seed}")
-
-
-def _split_into_even_parts(total: int, count: int, cap: int) -> list[int] | None:
-    """Split an even total into `count` even parts, each in 2..cap."""
-    if not (2 * count <= total <= cap * count):
-        return None
-    parts = [2] * count
-    left = total - 2 * count
-    for i in range(count):
-        add = min(cap - parts[i], left)
-        parts[i] += add
-        left -= add
-    return parts if left == 0 else None
 
 
 def _random_bipartite_with_degrees(x_degs: list[int], y_degs: list[int],

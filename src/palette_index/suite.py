@@ -1,14 +1,13 @@
 """Reproduction suite: every desk-scale number the library claims, re-derived
 from scratch with fixed seeds and reported one line per case.
 
-Machine-readable case lines go to the report (byte-identical across runs and
-worker counts); wall-clock timings are kept separately for diagnostics.
+Machine-readable case lines go to the report (byte-identical across runs);
+wall-clock timings are kept separately for diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -316,18 +315,18 @@ def build_cases(include_slow: bool = False) -> list[SuiteCase]:
 
 
 def run_suite(filter_pattern: str | None = None, include_slow: bool = False,
-              threads: int | None = None) -> SuiteReport:
-    """Run all (or the filtered subset of) suite cases and build the report.
+              threads: int = 1) -> SuiteReport:
+    """Run all suite cases, or those whose id contains `filter_pattern`, and
+    build the report in case-id order, the same bytes for any `threads`.
 
-    The worker count comes from the argument or PALETTE_SUITE_THREADS; the
-    report is assembled in case-id order either way.
+    A pattern that matches no case id raises ValueError.
     """
     cases = build_cases(include_slow)
     if filter_pattern:
         cases = [c for c in cases if filter_pattern in c.case_id]
+        if not cases:
+            raise ValueError(f"no suite case id contains {filter_pattern!r}")
     cases.sort(key=lambda c: c.case_id)
-    if threads is None:
-        threads = int(os.environ.get("PALETTE_SUITE_THREADS", "1"))
 
     def execute(case: SuiteCase) -> tuple[CaseOutcome, float]:
         start = time.monotonic()

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from palette_index import decompose
 from palette_index.cli import cli_main
+from palette_index.constructions import color_even_bipartite
 from palette_index.fileformat import (FormatError, parse_coloring, parse_graph,
                                       serialize_graph)
 from palette_index.graph import (GraphError, build_graph, gen_complete_bipartite,
-                                 gen_grid, gen_random_biregular)
+                                 gen_grid, gen_random_biregular,
+                                 gen_random_even_bipartite)
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +52,21 @@ def test_color_grid_strategy(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "color", "--strategy", "grid", path)
     assert code == 0
     assert "palettes=3 bound=3 theorem=grid" in out
+
+
+def test_even_pairs_strategy_writes_the_pairs_coloring(capsys, tmp_path):
+    g = gen_random_even_bipartite(6, 3)
+    code, out, _ = run_cli(capsys, "color", "--strategy", "even-pairs",
+                           write_graph(tmp_path, g))
+    assert code == 0
+    assert parse_coloring(out, g.edge_count)[0] == color_even_bipartite(g).coloring
+
+
+@pytest.mark.parametrize("strategy", ["even", "kab", "biregular"])
+def test_retired_strategy_names_exit_2(capsys, tmp_path, strategy):
+    gpath = write_graph(tmp_path, gen_complete_bipartite(2, 4))
+    code, out, _ = run_cli(capsys, "color", "--strategy", strategy, gpath)
+    assert (code, out) == (2, "")
 
 
 def test_color_output_file_reverifies(capsys, tmp_path):
@@ -303,10 +320,16 @@ def test_suite_filter_runs_only_matching(capsys):
     assert lines and all("kab-exact" in line for line in lines)
 
 
-def test_suite_empty_filter_passes(capsys):
-    code, out, _ = run_cli(capsys, "suite", "--filter", "no-such-case")
-    assert code == 0
-    assert out.strip() == "suite status=pass passed=0/0"
+def test_suite_filter_matching_nothing_exits_2(capsys):
+    # a mistyped pattern must not pass as an empty suite
+    code, out, err = run_cli(capsys, "suite", "--filter", "no-such-case")
+    assert (code, out) == (2, "")
+    assert err == "error: no suite case id contains 'no-such-case'\n"
+
+
+def test_suite_takes_no_thread_count(capsys):
+    code, out, _ = run_cli(capsys, "suite", "--threads", "2")
+    assert (code, out) == (2, "")
 
 
 # Text near the two file formats: keywords, small integers (so a header

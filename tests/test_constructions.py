@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from palette_index import constructions, decompose
 from palette_index.coloring import ColoringError, palette_summary
-from palette_index.constructions import (ROUTES, RouteFacts, color_2_odd,
+from palette_index.constructions import (ROUTES, RouteFacts, build_route,
                                          color_3_3r, color_3_5, color_4_4r,
                                          color_5_5r, color_auto,
                                          color_biregular_auto,
-                                         color_complete_bipartite,
-                                         color_complete_bipartite_on, color_deg5,
+                                         color_complete_bipartite, color_deg5,
                                          color_even_bipartite, color_grid,
                                          color_grid_on, color_r_2r,
                                          color_via_doubling,
@@ -422,7 +421,7 @@ def test_complete_bipartite_on_relabeled_graphs_follows_the_closed_form(a, b):
     small = sorted(labels[:a])  # the a vertices of degree b
     big = sorted(labels[a:])
     d = math.gcd(a, b)
-    got = color_complete_bipartite_on(g).coloring
+    got = build_route("complete-bipartite", g).coloring
     for eid, (p, q) in enumerate(g.edges):
         if p not in small:
             p, q = q, p
@@ -513,20 +512,24 @@ def test_3_5_instances():
     assert color_3_5(gen_random_biregular(3, 5, 2, 6)).palettes <= 7
 
 
+def two_odd(g):
+    return build_route("two-odd-family", g)
+
+
 def test_2_odd_k23():
-    result = color_2_odd(gen_complete_bipartite(2, 3))
+    result = two_odd(gen_complete_bipartite(2, 3))
     assert result.claimed_palette_bound == 4
     assert result.palettes == 4  # sharp for (2,3)-profiles
 
 
 def test_2_odd_random_23():
     for seed in range(3):
-        result = color_2_odd(gen_random_biregular(2, 3, 3, seed))
+        result = two_odd(gen_random_biregular(2, 3, 3, seed))
         assert result.palettes == 4
 
 
 def test_2_odd_k25():
-    result = color_2_odd(gen_complete_bipartite(2, 5))
+    result = two_odd(gen_complete_bipartite(2, 5))
     assert result.claimed_palette_bound == 6
 
 
@@ -534,7 +537,7 @@ def test_2_odd_k25():
 def test_2_odd_wider_profiles(b):
     shuffled = relabeled_union(4, gen_random_biregular(2, b, 3, 1), random.Random(b))
     for g in (gen_random_biregular(2, b, 2, 3), shuffled):
-        assert color_2_odd(g).palettes <= b + 1
+        assert two_odd(g).palettes <= b + 1
 
 
 # 50 edges on which a block-interval search of 5*10**4 nodes finds no
@@ -543,7 +546,7 @@ TWO_ODD_REPRO = gen_random_biregular(2, 5, 5, 1)
 
 
 def test_2_odd_colors_the_graph_the_block_search_declined():
-    result = color_2_odd(TWO_ODD_REPRO)
+    result = two_odd(TWO_ODD_REPRO)
     assert (result.palettes, result.claimed_palette_bound, result.theorem_tag) \
         == (6, 6, "two-odd-cyclic")
     assert color_auto(TWO_ODD_REPRO).theorem_tag == "two-odd-cyclic"
@@ -554,7 +557,7 @@ def test_2_odd_declines_where_its_search_finds_no_coloring(monkeypatch):
     monkeypatch.setattr(decompose, "_REPAIR_STEPS_PER_EDGE", 0)
     note = next(r.note for r in ROUTES if r.tag == "two-odd-family")
     with pytest.raises(GraphError, match=re.escape(f"graph is not {note}")):
-        color_2_odd(TWO_ODD_REPRO)
+        two_odd(TWO_ODD_REPRO)
     assert color_auto(TWO_ODD_REPRO).theorem_tag == "doubling"
 
 
@@ -573,7 +576,7 @@ def test_2_odd_lies_between_the_exact_value_and_b_plus_1(g):
     assert exact.proved
     rng = random.Random(g.edge_count)
     for h in (g, relabeled_union(1, g, rng), relabeled_union(3, g, rng)):
-        assert exact.value <= color_2_odd(h).palettes <= b + 1
+        assert exact.value <= two_odd(h).palettes <= b + 1
 
 
 def test_2_odd_colors_are_pinned_across_python_versions(monkeypatch):
@@ -581,12 +584,12 @@ def test_2_odd_colors_are_pinned_across_python_versions(monkeypatch):
     # budget of one step per edge allows, so a change in the rng's stream
     # moves the digest
     g = gen_random_biregular(2, 13, 5, 2)
-    text = " ".join(map(str, color_2_odd(g).coloring))
+    text = " ".join(map(str, two_odd(g).coloring))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "cdc37930fdd97121800395be3736f61b5a5fb8af12dca998742740a09a509f43")
     monkeypatch.setattr(decompose, "_REPAIR_STEPS_PER_EDGE", 1)
     with pytest.raises(GraphError):
-        color_2_odd(g)
+        two_odd(g)
 
 
 def deg5_graphs(count, rng):
@@ -656,7 +659,7 @@ def test_route_colorings_are_pinned():
     assert routes == {"grid", "konig-regular", "konig-biregular", "even-pairs",
                       "doubling", "two-odd-family"}
     assert h.hexdigest() == (
-        "2b82dd3ed28f8933f4ed75028d1f07a70781681fbc639c0a02dc1f7402c88503")
+        "05f79da1ab58ddfa72ef666b1010024184be9c9d174ed29aabdf0a87cf7e195b")
 
 
 def test_deg5_rejects_isolated():

@@ -7,6 +7,7 @@ import ast
 import importlib
 import importlib.util
 import re
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,12 +17,14 @@ from hypothesis import strategies as st
 import palette_index
 from palette_index import constructions
 from palette_index.analysis import upper_bound_catalog
-from palette_index.constructions import (ROUTES, RouteFacts, color_2_odd,
+from palette_index.cli import cli_main
+from palette_index.coloring import palette_summary
+from palette_index.constructions import (ROUTES, RouteFacts, build_route,
                                          color_3_3r, color_3_5, color_4_4r,
-                                         color_5_5r, color_auto,
-                                         color_complete_bipartite_on,
-                                         color_deg5, color_grid_on,
-                                         color_r_2r, route_bounds)
+                                         color_5_5r, color_auto, color_deg5,
+                                         color_grid_on, color_r_2r,
+                                         route_bounds)
+from palette_index.fileformat import serialize_graph
 from palette_index.graph import (GraphError, build_graph,
                                  gen_complete_bipartite, gen_grid,
                                  gen_random_biregular,
@@ -96,10 +99,10 @@ def test_catalog_agrees_with_dispatcher_on_random_graphs(g):
 def test_kab_strategy_checks_its_input():
     g = gen_complete_bipartite(2, 6)
     relabeled = build_graph(8, [(7 - u, 7 - v) for u, v in g.edges])
-    assert color_complete_bipartite_on(relabeled).palettes == 4
+    assert build_route("complete-bipartite", relabeled).palettes == 4
     for not_kab in (gen_complete_bipartite(3, 3), gen_random_biregular(2, 4, 2, 1)):
         with pytest.raises(GraphError):
-            color_complete_bipartite_on(not_kab)
+            build_route("complete-bipartite", not_kab)
 
 
 def relabeled(g):
@@ -107,10 +110,12 @@ def relabeled(g):
     return build_graph(g.vertex_count, [(top - u, top - v) for u, v in g.edges])
 
 
-# every row with a public builder, and a member on which `color_auto` takes it
+# every row with a named builder, and two rows built through `build_route`
+# alone, each with a member on which `color_auto` takes it
 ROW_MEMBERS = [
     (color_grid_on, "grid", gen_grid(5, 6)),
-    (color_2_odd, "two-odd-family", gen_random_biregular(2, 5, 2, 1)),
+    (partial(build_route, "two-odd-family"), "two-odd-family",
+     gen_random_biregular(2, 5, 2, 1)),
     (color_3_3r, "deg3-family", gen_random_biregular(3, 9, 2, 1)),
     (color_3_3r, "deg3-family", gen_random_biregular(6, 9, 2, 1)),
     (color_4_4r, "deg4-family", gen_random_biregular(4, 8, 2, 1)),
@@ -118,7 +123,7 @@ ROW_MEMBERS = [
     (color_r_2r, "half-family", gen_random_biregular(6, 12, 2, 1)),
     (color_r_2r, "half-family", gen_random_biregular(7, 14, 2, 1)),
     (color_3_5, "deg35-family", gen_random_biregular(3, 5, 2, 1)),
-    (color_complete_bipartite_on, "complete-bipartite",
+    (partial(build_route, "complete-bipartite"), "complete-bipartite",
      relabeled(gen_complete_bipartite(3, 7))),
     # degrees 5, 3, 2 and 1 and unequal sides: no perfect matching, and
     # the doubling bound is 27
@@ -127,7 +132,8 @@ ROW_MEMBERS = [
 ]
 
 
-@pytest.mark.parametrize("builder,tag,g", ROW_MEMBERS)
+@pytest.mark.parametrize("builder,tag,g", ROW_MEMBERS, ids=lambda v: (
+    "build_route" if isinstance(v, partial) else None))
 def test_a_public_builder_is_its_row(builder, tag, g):
     route = route_bounds(RouteFacts(g))[0][0]
     assert route.tag == tag
@@ -139,6 +145,75 @@ def test_a_public_builder_is_its_row(builder, tag, g):
     with pytest.raises(GraphError) as err:
         builder(off_row)
     assert route.note in str(err.value)
+
+
+# a member of every row; where `color_auto` takes another row (even-deg4,
+# even-deg6, deg4, deg4-no-pendant, deg5-perfect-matching) the row is still
+# built on request
+ROUTE_MEMBERS = {
+    "grid": gen_grid(5, 6),
+    "star": gen_random_biregular(1, 4, 3, 1),
+    "even-family": gen_random_biregular(2, 4, 2, 1),
+    "two-odd-family": gen_random_biregular(2, 5, 2, 1),
+    "deg3-family": gen_random_biregular(3, 9, 2, 1),
+    "deg4-family": gen_random_biregular(4, 8, 2, 1),
+    "deg5-family": gen_random_biregular(5, 10, 2, 1),
+    "half-family": gen_random_biregular(6, 12, 2, 1),
+    "deg35-family": gen_random_biregular(3, 5, 2, 1),
+    "complete-bipartite": relabeled(gen_complete_bipartite(3, 7)),
+    "konig-regular": gen_random_biregular(3, 3, 2, 1),
+    "konig-biregular": gen_random_biregular(5, 7, 2, 1),
+    "even-pairs": gen_random_even_bipartite(8, 1),
+    "even-deg4": gen_random_even_bipartite(4, 1),
+    "even-deg6": gen_random_even_bipartite(6, 1),
+    "doubling": gen_random_biregular(3, 7, 2, 1),
+    "deg4": gen_random_biregular(1, 4, 3, 1),
+    "deg4-no-pendant": gen_random_biregular(3, 4, 2, 1),
+    "deg5": ROW_MEMBERS[-1][2],
+    "deg5-perfect-matching": gen_random_biregular(5, 5, 1, 1),
+}
+# an odd cycle is not bipartite, so it is outside every row
+OFF_EVERY_ROW = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=lambda route: route.tag)
+def test_build_route_builds_its_row(route):
+    g = ROUTE_MEMBERS[route.tag]
+    bound = route.bound(RouteFacts(g))
+    result = build_route(route.tag, g)
+    # the coloring is proper, and `_finish` held it to its claimed bound,
+    # which is at most the row's
+    assert palette_summary(g, result.coloring).distinct == result.palettes
+    assert result.palettes <= result.claimed_palette_bound <= bound
+    if route_bounds(RouteFacts(g))[0][0] is route:
+        auto = color_auto(g)
+        assert (result.coloring, result.claimed_palette_bound, result.theorem_tag) \
+            == (auto.coloring, auto.claimed_palette_bound, auto.theorem_tag)
+    with pytest.raises(GraphError) as err:
+        build_route(route.tag, OFF_EVERY_ROW)
+    assert route.note in str(err.value)
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=lambda route: route.tag)
+def test_color_strategy_takes_every_route_tag(route, capsys, tmp_path):
+    member = tmp_path / "member.txt"
+    member.write_text(serialize_graph(ROUTE_MEMBERS[route.tag]))
+    result = build_route(route.tag, ROUTE_MEMBERS[route.tag])
+    assert cli_main(["color", "--strategy", route.tag, str(member),
+                     "--output", str(tmp_path / "c.txt")]) == 0
+    assert capsys.readouterr().out == (
+        f"palettes={result.palettes} bound={result.claimed_palette_bound} "
+        f"theorem={result.theorem_tag}\n")
+    off = tmp_path / "off.txt"
+    off.write_text(serialize_graph(OFF_EVERY_ROW))
+    assert cli_main(["color", "--strategy", route.tag, str(off)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: graph is not {route.note}\n")
+
+
+def test_build_route_refuses_an_unknown_tag():
+    with pytest.raises(ValueError, match="no route is tagged 'kab'"):
+        build_route("kab", gen_complete_bipartite(2, 3))
 
 
 def test_the_readme_route_table_lists_the_routes_in_order():
