@@ -41,11 +41,23 @@ def palette_index_exact(g: Graph, max_nodes: int | None = None,
     the fewest edges not yet listed lists them, so palettes freeze early
     and the frozen-palette prunes fire near the root.  Pruning uses the
     running best, the palettes of already-saturated vertices, the fact
-    that palettes of different sizes are always distinct, and one more
-    palette forced by an endpoint whose palette no frozen palette of its
-    size can extend.  Twin vertices (same neighbours, no parallel edges)
-    are ordered by a lex-leader constraint.  When a budget runs out the
-    best coloring found so far is returned with proved=False.
+    that palettes of different sizes are always distinct, and orphans.
+    Twin vertices (same neighbours, no parallel edges) are ordered by a
+    lex-leader constraint.  When a budget runs out the best coloring found
+    so far is returned with proved=False.
+
+    An end of the edge is orphaned when it has uncolored edges, some
+    vertex of its degree is frozen, and no frozen palette of that degree
+    contains its palette.  With slack = best - distinct - missing, one
+    orphan refuses the block at slack 1, and two orphans of different
+    degrees refuse it at slack 2.  Sound: an orphan's final palette is
+    none of the counted ones and not of a missing degree's size, and two
+    orphans of different degrees end with palettes of different sizes, so
+    the count reaches the best.  Only the incumbent and the frozen palettes
+    are used, never a claimed value.  `wit[w]` caches the frozen palette
+    that last extended w's palette; while it is frozen and still extends,
+    the test needs no scan, and a scan that finds one stores it, so the
+    cache never changes an answer.
 
     The incumbent starts from a greedy first-fit seed, whose palette count
     is read off its per-vertex block bitmasks; no palette summary is built.
@@ -100,6 +112,9 @@ def palette_index_exact(g: Graph, max_nodes: int | None = None,
     by_degree: dict[int, dict[int, int]] = {d: {} for d in degs}
     frozen = [by_degree[d] for d in degs]
     missing = global_lb  # degrees no saturated vertex has yet
+    # wit[w]: the frozen palette last found to extend w's palette; 0 matches
+    # no frozen palette, and a stale key fails the membership test
+    wit = [0] * g.vertex_count
     # per depth: blocks still to try, block taken, and the distinct count
     # and opened-block count on entry
     todo = [0] * m
@@ -205,35 +220,50 @@ def palette_index_exact(g: Graph, max_nodes: int | None = None,
             slack = best_value - new_distinct - missing
             if slack < 1:
                 continue
-            # at slack 1, an unsaturated end of a represented degree refuses
-            # the block when no frozen palette of its size extends its own
-            for w in (u, v) if slack == 1 else ():
-                palettes = frozen[w]
-                if rem[w] and palettes:
-                    pw = pal[w]
-                    for key in palettes:
-                        if key & pw == pw:
+            # an end is orphaned when it is unsaturated, its degree has a
+            # frozen palette, and none of those extends its own: it needs a
+            # palette not counted yet.  One orphan refuses at slack 1, two
+            # of different degrees (two new sizes) at slack 2
+            if slack == 1 or slack == 2 and degs[u] != degs[v]:
+                need = slack
+                for w in (u, v):
+                    palettes = frozen[w]
+                    orphan = False
+                    if rem[w] and palettes:
+                        pw = pal[w]
+                        key = wit[w]
+                        if key & pw != pw or key not in palettes:
+                            for key in palettes:
+                                if key & pw == pw:
+                                    wit[w] = key
+                                    break
+                            else:
+                                orphan = True
+                    if orphan:
+                        need -= 1
+                        if not need:
                             break
-                    else:
-                        break  # w's palette would be one palette too many
-            else:
-                # no end refused it: take the block
-                b = bit.bit_length() - 1
-                taken[depth] = b
-                if depth + 1 == m:
-                    # every vertex is saturated, and the bound let only a
-                    # strictly better partition through
-                    best_value, best_assign = new_distinct, taken.copy()
-                    if best_value <= global_lb:
-                        depth = -1
-                        break
+                    elif slack == 2:
+                        break  # the first end is no orphan: two cannot be
+                if not need:
                     continue
-                if b == count:
-                    count += 1
-                todo[depth] = free
-                distinct = new_distinct
-                depth += 1
-                break
+            # take the block
+            b = bit.bit_length() - 1
+            taken[depth] = b
+            if depth + 1 == m:
+                # every vertex is saturated, and the bound let only a
+                # strictly better partition through
+                best_value, best_assign = new_distinct, taken.copy()
+                if best_value <= global_lb:
+                    depth = -1
+                    break
+                continue
+            if b == count:
+                count += 1
+            todo[depth] = free
+            distinct = new_distinct
+            depth += 1
+            break
 
     return PaletteIndexResult(best_value, _witness(order, best_assign),
                               not out_of_budget, nodes)
