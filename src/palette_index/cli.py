@@ -12,6 +12,7 @@ input, 3 `exact` stopped by its budget (the partial result is still printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analysis import classify_full_palette, upper_bound_catalog
@@ -129,7 +130,10 @@ def _cmd_suite(args) -> int:
     return 0 if report.all_passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first cli_main call and reused: parse_args fills a fresh
+    # Namespace each call and argparse looks up sys.stdout/stderr as it prints
     parser = argparse.ArgumentParser(
         prog="palette-index",
         description="Edge colorings with few distinct vertex palettes.")

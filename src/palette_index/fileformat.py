@@ -13,6 +13,8 @@ ColoringFile::
 
 Comment lines start with ``#``; key=value summary lines are tolerated when
 parsing colorings so a stream carrying a trailing summary re-parses cleanly.
+Both parsers accept CRLF line ends and ignore one leading UTF-8 byte-order
+mark.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .graph import Graph
+
+
+# UTF-8 byte-order mark; str.removeprefix returns the text itself, in O(1),
+# when no mark leads it
+_BOM = "\ufeff"
 
 
 class FormatError(ValueError):
@@ -35,7 +42,7 @@ def serialize_graph(g: Graph) -> str:
 def parse_graph(text: str) -> Graph:
     n = count = -1  # vertex and edge counts, once the header is read
     edges: list[tuple[int, int]] = []
-    lines = text.splitlines()
+    lines = text.removeprefix(_BOM).splitlines()
     for ln, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
@@ -81,7 +88,7 @@ def parse_coloring(text: str, edge_count: int) -> tuple[list[int], tuple[int, in
     pair as written.  Every edge must be colored, and only those edges."""
     header: tuple[int, int] | None = None
     colors: dict[int, int] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.removeprefix(_BOM).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

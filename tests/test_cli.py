@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import re
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palette_index import decompose
+from palette_index import cli, decompose
 from palette_index.cli import cli_main
 from palette_index.constructions import color_even_bipartite
 from palette_index.fileformat import (FormatError, parse_coloring, parse_graph,
@@ -228,6 +229,26 @@ def test_bounds_lines(capsys, tmp_path):
     assert any(line.startswith("upper 4 ") for line in lines)
 
 
+def test_bounds_reads_a_graph_that_starts_with_a_byte_order_mark(capsys, tmp_path):
+    text = serialize_graph(gen_complete_bipartite(2, 3))
+    plain, bom, bad = (tmp_path / name for name in ("plain.txt", "bom.txt", "bad.txt"))
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    bad.write_text("q 2 1\ne 1 2\n", encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = run_cli(capsys, "bounds", str(plain))
+    assert expected[0] == 0 and "lower 3 biregular-ratio" in expected[1]
+    assert run_cli(capsys, "bounds", str(bom)) == expected
+    stdin = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(bom.read_bytes()), encoding="utf-8")
+    try:
+        assert run_cli(capsys, "bounds", "-") == expected
+    finally:
+        sys.stdin = stdin
+    assert run_cli(capsys, "bounds", str(bad)) == (
+        2, "", "error: line 1: expected header 'p <vertices> <edges>'\n")
+
+
 def test_bounds_on_the_empty_graph_names_both_bounds(capsys, tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("p 0 0\n")
@@ -246,6 +267,46 @@ def test_classify_star(capsys, tmp_path):
 def test_unknown_flag_exits_2(capsys):
     code, _, _ = run_cli(capsys, "gen", "--no-such-flag")
     assert code == 2
+
+
+def run_on_fresh_streams(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli_main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch):
+    g = write_graph(tmp_path, gen_random_biregular(2, 5, 5, 1), "g.txt")
+    k46 = write_graph(tmp_path, gen_complete_bipartite(4, 6), "k46.txt")
+    calls = [("color", "--no-such-flag"), ("color", "--help"),
+             ("color", g, "--strategy", "konig-biregular"), ("color", g),
+             ("exact", k46, "--max-nodes", "5"), ("exact", k46)]
+    first = []
+    for argv in calls:  # each call as the first of its process
+        cli._build_parser.cache_clear()
+        first.append(run_on_fresh_streams(*argv))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    results = [run_on_fresh_streams(*argv) for argv in calls]
+    assert results == first
+    assert built.count("palette-index") == 1  # subcommand parsers add "palette-index <cmd>"
+    unknown, help_, konig, auto, budget, proof = results
+    assert unknown[:2] == (2, "") and unknown[2].startswith("usage: palette-index ")
+    assert unknown[2].endswith("error: unrecognized arguments: --no-such-flag\n")
+    assert help_[0] == 0 and help_[1].startswith("usage: palette-index color")
+    assert help_[2] == "" and "--strategy" in help_[1]
+    assert konig[0] == 0 and konig[1].endswith(" theorem=konig\n")
+    assert auto[0] == 0 and auto[1].endswith(" theorem=two-odd-cyclic\n")
+    assert budget[0] == 3 and budget[1].endswith("palette_index=4 proved=false\n")
+    assert proof[0] == 0 and proof[1].endswith("palette_index=4 proved=true\n")
 
 
 def test_malformed_input_exits_2(capsys, tmp_path):
@@ -358,17 +419,19 @@ def test_parsers_raise_only_format_errors(text, edge_count):
             pass
 
 
+@pytest.mark.parametrize("argv", [("bounds", "-"), ("color", "-"), ("classify", "-"),
+                                  ("exact", "-", "--max-nodes", "200")],
+                         ids=lambda argv: argv[0])
 @settings(deadline=None, max_examples=200)
 @given(st.one_of(_JUNK, _FORMAT_LIKE, _GRAPH_LIKE))
-def test_bounds_exit_code_contract_on_any_text(text):
-    # the graph comes from stdin ("-"): it skips a file write per example
+def test_bounds_exit_code_contract_on_any_text(argv, text):
+    # every command that reads a graph, from stdin ("-"): it skips a file
+    # write per example
     stdin = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()) as err:
-            code = cli_main(["bounds", "-"])
+        code, _, err = run_on_fresh_streams(*argv)
     finally:
         sys.stdin = stdin
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err

@@ -127,3 +127,14 @@ def test_parse_graph_whitespace_and_comment_lines():
     g = parse_graph(text)
     assert (g.vertex_count, g.edges) == (3, ((0, 1), (2, 1)))
     assert parse_graph("p 0 0\n") == build_graph(0, [])
+
+
+def test_parsers_skip_one_leading_byte_order_mark():
+    graph = "p 3 2\r\ne 1 2\r\ne 2 3\r\n"
+    assert parse_graph("\ufeff" + graph) == parse_graph(graph)
+    coloring = "s 2 1\nc 1 1\nc 2 2\n"
+    assert parse_coloring("\ufeff" + coloring, 2) == parse_coloring(coloring, 2)
+    with pytest.raises(FormatError, match="line 1: expected header 'p "):
+        parse_graph("\ufeff\ufeff" + graph)
+    with pytest.raises(FormatError, match="line 1: expected header 's "):
+        parse_coloring("\ufeff\ufeff" + coloring, 2)
