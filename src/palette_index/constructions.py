@@ -19,8 +19,7 @@ from .decompose import (cyclic_interval_coloring, factor_arcs,
                         peel_perfect_matchings, split_part_vertices)
 from .graph import (SIDE_X, SIDE_Y, Bipartition, BiregularProfile, Graph,
                     GraphError, bipartition, biregular_profile, edge_subgraph,
-                    even_closure, gen_complete_bipartite, gen_grid,
-                    without_isolated)
+                    gen_complete_bipartite, gen_grid, without_isolated)
 
 
 @dataclass
@@ -67,12 +66,24 @@ def color_even_bipartite(g: Graph) -> ConstructionResult:
     two.  The distinct-palette count is at most the sum over present
     degrees d of C(maxdeg/2, d/2).
     """
-    side = _require_bipartite(g).side_of
+    _require_bipartite(g)
     if g.has_isolated_vertices():
         raise GraphError("isolated vertices are not allowed here")
-    factor, tail = factor_arcs(g)  # raises unless every degree is even
-    colors = [2 * i - 1 + side[t] for i, t in zip(factor, tail)]
-    return _finish(g, colors, _even_pairs_bound(g), "even-bipartite-pairs")
+    return _pairs_result(g)
+
+
+def _pairs_result(g: Graph) -> ConstructionResult:
+    return _finish(g, _pair_colors(g), _even_pairs_bound(g), "even-bipartite-pairs")
+
+
+def _pair_colors(g: Graph) -> list[int]:
+    """`color_even_bipartite`'s colors on an even bipartite g, without its
+    sides: an edge of factor i whose arc is k-th in the orientation takes
+    2i-1 + k mod 2.  Each circuit starts at its component's smallest
+    vertex, which `bipartition` puts on side X, and has even length, so
+    the arc leaves side X exactly when k is even."""
+    factor, _, arc = factor_arcs(g)  # raises unless every degree is even
+    return [2 * i - 1 + (k & 1) for i, k in zip(factor, arc)]
 
 
 def _even_pairs_bound(g: Graph) -> int:
@@ -99,14 +110,27 @@ def color_via_doubling(g: Graph) -> ConstructionResult:
     _require_bipartite(g)
     if g.has_isolated_vertices():
         raise GraphError("isolated vertices are not allowed here")
-    inner = color_even_bipartite(even_closure(g)).coloring
-    colors = inner[:g.edge_count]  # copy 1 keeps g's ids
+    return _doubling_result(g)
+
+
+def _doubling_result(g: Graph) -> ConstructionResult:
     bound = doubling_palette_bound(g)
     if g.max_degree == 4:
         assert bound <= 11
         if g.min_degree >= 2:
             assert bound <= 7
-    return _finish(g, colors, bound, "doubling")
+    return _finish(g, _doubling_colors(g), bound, "doubling")
+
+
+def _doubling_colors(g: Graph) -> list[int]:
+    """The pair colors of a bipartite g's even closure, on copy 1, which
+    keeps g's edge ids.  The closure is the graph `even_closure` returns,
+    built here without its bipartite check: every caller knows g's sides,
+    and the pair colors need none."""
+    n = g.vertex_count
+    copy2 = tuple((u + n, v + n) for u, v in g.edges)
+    joins = tuple((v, v + n) for v, d in enumerate(g.degrees) if d % 2)
+    return _pair_colors(Graph(2 * n, g.edges + copy2 + joins))[:g.edge_count]
 
 
 def color_deg5(g: Graph) -> ConstructionResult:
@@ -124,7 +148,7 @@ def _color_deg5(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
         matching, bound, tag = f.matching, 12, "deg5-perfect-matching"
     else:
         matching, tag = matching_covering_max_degree(g, f.bip), "deg5"
-    return _in_bands(g, f, [(_rest(g, matching), color_via_doubling),
+    return _in_bands(g, f, [(_rest(g, matching), _doubling_colors),
                             (matching, None)], bound, tag)
 
 
@@ -274,25 +298,36 @@ def _rest(g: Graph, part: frozenset[int]) -> list[int]:
     return [eid for eid in range(g.edge_count) if eid not in part]
 
 
+def _on_rest(g: Graph, part: frozenset[int],
+             split: Callable[[Graph], Sequence[Sequence[int]]]) -> list[list[int]]:
+    """`split` of the subgraph of g's edges outside `part`, with its edge
+    ids mapped back to g's.  The subgraph keeps g's vertices, so g's sides
+    are its sides."""
+    rest, kept = edge_subgraph(g, _rest(g, part))
+    return [[kept[eid] for eid in piece] for piece in split(rest)]
+
+
 def _in_bands(g: Graph, f: RouteFacts,
-              parts: list[tuple[Sequence[int],
-                                Callable[[Graph], ConstructionResult] | None]],
+              parts: list[tuple[Sequence[int], Callable[[Graph], list[int]] | None]],
               bound: int, tag: str) -> ConstructionResult:
     """Color each part of g's edges in its own band: a part's colors are
     shifted by the sum of the maximum degrees of the parts before it.
 
-    A part with a builder is built on its subgraph with isolated vertices
-    dropped (edge ids survive the trim).  A part without one is colored by
-    Kőnig on g's sides, which keep the subgraph's vertex set; on a factor
-    whose side-X vertices have one edge each, such as a star forest or a
-    matching, that gives each side-Y vertex's k-th edge, by id, color k.
+    A part with a builder takes the builder's colors, pairs or doubling, on
+    its subgraph with isolated vertices dropped (edge ids survive the trim);
+    they need no sides, and no bipartite check, since the route has found g
+    bipartite.  A part without one is colored by Kőnig on g's sides, which
+    keep the subgraph's vertex set; on a factor whose side-X vertices have
+    one edge each, such as a star forest or a matching, that gives each
+    side-Y vertex's k-th edge, by id, color k.  Only the coloring of the
+    whole is verified.
     """
     colors = [0] * g.edge_count
     shift = 0
     for edge_ids, build in parts:
         sub, kept = edge_subgraph(g, edge_ids)
         part = (konig_coloring(sub, f.bip) if build is None
-                else build(without_isolated(sub)[0]).coloring)
+                else build(without_isolated(sub)[0]))
         for eid, c in zip(kept, part):
             colors[eid] = c + shift
         shift += sub.max_degree
@@ -312,7 +347,7 @@ def color_3_3r(g: Graph) -> ConstructionResult:
 def _color_3_3r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     factor = _split_classes(g, f.bip, 3)[0]
     tag = "deg3-multiple" if f.prof.a == 3 else "deg3-multiple-complement"
-    return _in_bands(g, f, [(_rest(g, factor), color_even_bipartite),
+    return _in_bands(g, f, [(_rest(g, factor), _pair_colors),
                             (factor, None)], bound, tag)
 
 
@@ -325,8 +360,8 @@ def color_4_4r(g: Graph) -> ConstructionResult:
 
 def _color_4_4r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     tag = "deg4-multiple" if f.prof.a == 4 else "deg4-multiple-complement"
-    return _in_bands(g, f, [(half, color_even_bipartite)
-                            for half in parity_split(g)], bound, tag)
+    return _in_bands(g, f, [(half, _pair_colors) for half in parity_split(g)],
+                     bound, tag)
 
 
 def color_5_5r(g: Graph) -> ConstructionResult:
@@ -338,8 +373,11 @@ def color_5_5r(g: Graph) -> ConstructionResult:
 
 def _color_5_5r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     factor = _split_classes(g, f.bip, 5)[0]
-    return _in_bands(g, f, [(_rest(g, factor), color_4_4r), (factor, None)],
-                     bound, "deg5-multiple")
+    # the rest is (4,4r)-biregular: its parity halves take the (4,4r) row's
+    # bands, and the factor the r colors after them
+    halves = _on_rest(g, factor, parity_split)
+    return _in_bands(g, f, [(half, _pair_colors) for half in halves]
+                     + [(factor, None)], bound, "deg5-multiple")
 
 
 def color_r_2r(g: Graph) -> ConstructionResult:
@@ -347,8 +385,8 @@ def color_r_2r(g: Graph) -> ConstructionResult:
 
     Even r = 2k: the degree-k split decomposes the graph into k pieces with
     degrees (2,4), each colored in its own 4-color band.  Odd r = 2k+1: a
-    pulled-back (1,2) factor takes the last two colors and the rest recurses
-    into the even case.
+    pulled-back (1,2) factor takes the last two colors, and the rest, a
+    (2k,4k)-biregular graph, is split and colored as in the even case.
     """
     return build_route("half-family", g)
 
@@ -356,16 +394,18 @@ def color_r_2r(g: Graph) -> ConstructionResult:
 def _color_r_2r(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     r = f.prof.a
     if r % 2 == 0:
-        parts = [(piece, color_even_bipartite)
-                 for piece in _split_classes(g, f.bip, r // 2)]
+        pieces, extra = _split_classes(g, f.bip, r // 2), []
     else:
         # side X has degree r, so only side Y really splits
         factor = _split_classes(g, f.bip, r)[0]
         assert all(sum(e in factor for e in g.incidence[y]) == 2
                    for y in f.prof.y_vertices)
-        # the rest is (r-1,2r-2)-biregular and lands in the even case
-        parts = [(_rest(g, factor), color_r_2r), (factor, None)]
-    return _in_bands(g, f, parts, bound, "half-degree-family")
+        # the rest is (r-1,2r-2)-biregular: its pieces take the even case's
+        # bands, on g's sides, and the factor the last two colors
+        pieces = _on_rest(g, factor, lambda rest: _split_classes(rest, f.bip, r // 2))
+        extra = [(factor, None)]
+    return _in_bands(g, f, [(piece, _pair_colors) for piece in pieces] + extra,
+                     bound, "half-degree-family")
 
 
 def color_3_5(g: Graph) -> ConstructionResult:
@@ -376,7 +416,7 @@ def color_3_5(g: Graph) -> ConstructionResult:
 
 def _color_3_5(g: Graph, f: RouteFacts, bound: int) -> ConstructionResult:
     matching = matching_covering_max_degree(g, f.bip)
-    return _in_bands(g, f, [(_rest(g, matching), color_via_doubling),
+    return _in_bands(g, f, [(_rest(g, matching), _doubling_colors),
                             (matching, None)], bound, "deg35-matching")
 
 
@@ -429,13 +469,14 @@ class RouteFacts:
         A graph recognized as the m-by-n grid (`dims`) takes its sides from
         the grid labeling, position parity (x // n + x % n) % 2, without a
         search: the grid is connected and vertex 0 is on side X, so these
-        are the sides `bipartition` finds.
+        are the sides `bipartition` finds.  Rows alternate two patterns, so
+        the sides are those two rows repeated.
         """
         if self.prof is None:
             if self.dims is not None:
-                n = self.dims[1]
-                return Bipartition(tuple((x // n + x % n) % 2
-                                         for x in range(self.g.vertex_count)))
+                m, n = self.dims
+                row = tuple(j % 2 for j in range(n + 1))  # row 0, and one more
+                return Bipartition(((row[:n] + row[1:]) * ((m + 1) // 2))[:m * n])
             return bipartition(self.g)
         side = [SIDE_Y] * self.g.vertex_count
         for v in self.prof.x_vertices:
@@ -495,11 +536,11 @@ def _deg5_perfect_bound(f: RouteFacts) -> int | None:
 # gen_random_biregular(5, 9, 2, 0) `doubling` (bound 70) gives 23 and
 # `konig-biregular` (bound 127) would give 19.
 #
-# A row whose construction is a public builder that the benchmark's tracer
-# wraps (`color_even_bipartite`, `color_via_doubling`) calls it through a
-# lambda, which looks the module attribute up when the row runs, so the
-# tracer's rebinding is seen.  Every other row names its body, or writes
-# it in place when it is one `_finish` call.
+# A row names its body, or writes it in place when it is one call.  No row
+# calls a public builder: the pair and doubling rows build on the facts
+# the route already holds, with no second search for the sides, and report
+# their construction's own bound and tag, as `color_even_bipartite` and
+# `color_via_doubling` do.
 ROUTES: tuple[Route, ...] = (
     Route("grid", "m-by-n grid in the generator's labeling",
           lambda f: None if f.dims is None else grid_palette_value(*f.dims),
@@ -511,7 +552,7 @@ ROUTES: tuple[Route, ...] = (
     Route("even-family", "(2,2r)- or (2r-2,2r)-biregular",
           _on_profile(lambda a, b: b // 2 + 1
                       if b % 2 == 0 and a in (2, b - 2) and a < b else None),
-          lambda g, f, bound: color_even_bipartite(g)),
+          lambda g, f, bound: _pairs_result(g)),
     Route("two-odd-family",
           "(2,2r+1)-biregular with a cyclic-interval (2r+1)-coloring found "
           "within the repair budget",
@@ -548,23 +589,23 @@ ROUTES: tuple[Route, ...] = (
           _konig_result),
     Route("even-pairs", "even bipartite",
           lambda f: _even_pairs_bound(f.g) if f.even else None,
-          lambda g, f, bound: color_even_bipartite(g)),
+          lambda g, f, bound: _pairs_result(g)),
     Route("even-deg4", "even bipartite, maxdeg 4",
           lambda f: 3 if f.even and f.g.max_degree == 4 else None,
-          lambda g, f, bound: color_even_bipartite(g)),
+          lambda g, f, bound: _pairs_result(g)),
     Route("even-deg6", "even bipartite, maxdeg 6",
           lambda f: 7 if f.even and f.g.max_degree == 6 else None,
-          lambda g, f, bound: color_even_bipartite(g)),
+          lambda g, f, bound: _pairs_result(g)),
     Route("doubling", "bipartite",
           lambda f: None if f.bip is None else doubling_palette_bound(f.g),
-          lambda g, f, bound: color_via_doubling(g)),
+          lambda g, f, bound: _doubling_result(g)),
     Route("deg4", "bipartite, maxdeg 4",
           lambda f: 11 if f.bip is not None and f.g.max_degree == 4 else None,
-          lambda g, f, bound: color_via_doubling(g)),
+          lambda g, f, bound: _doubling_result(g)),
     Route("deg4-no-pendant", "bipartite, maxdeg 4, no pendants",
           lambda f: (7 if f.bip is not None and f.g.max_degree == 4
                      and f.g.min_degree >= 2 else None),
-          lambda g, f, bound: color_via_doubling(g)),
+          lambda g, f, bound: _doubling_result(g)),
     Route("deg5", "bipartite, maxdeg 5",
           lambda f: 23 if f.bip is not None and f.g.max_degree == 5 else None,
           _color_deg5),

@@ -18,10 +18,13 @@ walked.  The arcs are colored level by level: a level of even degree
 splits into two halves along closed trails, and Kőnig colors only the
 levels of odd degree, so the coloring costs O(m log r) when r is a power
 of two.  `factor_arcs` reads off each edge's arc its factor (the arc's
-color) and the vertex the arc leaves, and `two_factorization` groups the
-edges by factor.  In a bipartite graph a factor's cycles alternate arcs that
-leave side X with arcs that leave side Y, so the side an arc leaves is
-all `color_even_bipartite` needs to alternate a factor's color pair.
+color), the vertex the arc leaves and the arc's place in the orientation,
+and `two_factorization` groups the edges by factor.  In a bipartite graph
+a circuit alternates arcs that leave side X with arcs that leave side Y,
+and has even length, so an arc's index is even exactly when it leaves the
+side of its circuit's start, the smallest vertex of its component: that
+parity is all `color_even_bipartite` needs to alternate a factor's color
+pair, with no search for the sides.
 
 Everything here is deterministic: trails start at the smallest vertex id,
 edges are colored, and scanned for augmenting paths, in ascending edge-id
@@ -97,18 +100,20 @@ def two_factorization(g: Graph) -> tuple[frozenset[int], ...]:
     degs = set(g.degrees)
     if len(degs) > 1:
         raise GraphError(f"graph is not regular: degrees {sorted(degs)}")
-    factor, _ = factor_arcs(g)
+    factor = factor_arcs(g)[0]
     groups: list[list[int]] = [[] for _ in range(g.max_degree // 2)]
     for eid, i in enumerate(factor):
         groups[i - 1].append(eid)
     return tuple(map(frozenset, groups))
 
 
-def factor_arcs(g: Graph) -> tuple[list[int], list[int]]:
-    """`(factor, tail)` by edge id: the 2-factor (1..r) of g padded with
-    loops to its maximum degree 2r that holds the edge, which is the color
-    `_two_factor_table` gives the edge's arc, and the vertex that arc leaves
-    in the Euler orientation.
+def factor_arcs(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """`(factor, tail, arc)` by edge id: the 2-factor (1..r) of g padded
+    with loops to its maximum degree 2r that holds the edge, which is the
+    color `_two_factor_table` gives the edge's arc; the vertex that arc
+    leaves in the Euler orientation; and the arc's index in that
+    orientation, which lists each component's circuit in turn, each from
+    its smallest vertex.
 
     Requires every degree to be even.  Each factor is a set of directed
     cycles, one out-arc and one in-arc per vertex, so in a bipartite graph
@@ -119,14 +124,14 @@ def factor_arcs(g: Graph) -> tuple[list[int], list[int]]:
     if not g.is_even():
         raise GraphError("all degrees must be even")
     m, r = g.edge_count, g.max_degree // 2
-    factor, tail = [0] * m, [0] * m
+    factor, tail, arc = [0] * m, [0] * m, [0] * m
     if r == 0:
-        return factor, tail
+        return factor, tail, arc
     color, tails, source = _two_factor_table(g, r)
     # zip stops at the padding loops, the arcs after g's m edges
-    for eid, i, t in zip(source, color, tails):
-        factor[eid], tail[eid] = i, t
-    return factor, tail
+    for a, (eid, i, t) in enumerate(zip(source, color, tails)):
+        factor[eid], tail[eid], arc[eid] = i, t, a
+    return factor, tail, arc
 
 
 def _two_factor_table(g: Graph, r: int

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palette_index import constructions, decompose
+from palette_index import constructions, decompose, graph
 from palette_index.coloring import ColoringError, palette_summary
 from palette_index.constructions import (ROUTES, RouteFacts, build_route,
                                          color_3_3r, color_3_5, color_4_4r,
@@ -23,7 +23,7 @@ from palette_index.constructions import (ROUTES, RouteFacts, build_route,
 from palette_index.decompose import factor_arcs
 from palette_index.exact import palette_index_exact
 from palette_index.graph import (SIDE_X, GraphError, bipartition,
-                                 build_graph,
+                                 build_graph, even_closure,
                                  gen_complete_bipartite,
                                  gen_grid, gen_random_biregular,
                                  gen_random_even_bipartite)
@@ -134,7 +134,7 @@ def assert_palettes_match_the_hand_walk(g):
     colors = color_even_bipartite(g).coloring
     assert palette_summary(g, colors).palette_of == \
         palette_summary(g, reference_even_pairs_colors(g)).palette_of
-    factor, tail = factor_arcs(g)
+    factor, tail, _ = factor_arcs(g)
     side = bipartition(g).side_of
     for eid, c in enumerate(colors):
         assert (c + 1) // 2 == factor[eid]
@@ -190,6 +190,46 @@ def test_even_bipartite_palettes_match_the_hand_walk(delta):
     # vertices took every count of padding loops, and factors held 2-cycles
     assert padding == set(range(delta // 2))
     assert two_cycles > 0
+
+
+@pytest.mark.parametrize("delta", [2, 4, 6, 8])
+def test_pair_colors_from_circuit_parity_equal_the_searched_sides(delta):
+    # the pair step reads each arc's side off its place in the circuits;
+    # `bipartition` searches for the sides: several components, labels
+    # shuffled, so a component's smallest vertex is anywhere in it
+    rng = random.Random(100 + delta)
+    graphs = [relabeled_union(rng.randint(2, 5), even_bipartite_multigraph(delta, rng), rng)
+              for _ in range(30)]
+    graphs += [relabeled_union(1, disjoint_union(*(even_bipartite_multigraph(delta, rng)
+                                                   for _ in range(rng.randint(2, 6)))), rng)
+               for _ in range(30)]
+    graphs += [gen_random_even_bipartite(delta, seed) for seed in range(10)]
+    for g in graphs:
+        factor, tail, _ = factor_arcs(g)
+        side = bipartition(g).side_of
+        assert constructions._pair_colors(g) == [2 * i - 1 + side[t]
+                                                 for i, t in zip(factor, tail)]
+
+
+def test_the_pair_builders_refuse_a_graph_that_is_not_bipartite():
+    # two triangles sharing vertex 0: every degree even, and one circuit of
+    # 6 edges, so the circuit's parity alone would not see the odd cycles
+    bowtie = build_graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+    assert list(map(len, decompose.eulerian_circuit(bowtie))) == [6]
+    for build in (color_even_bipartite, color_via_doubling):
+        with pytest.raises(GraphError, match="graph is not bipartite"):
+            build(bowtie)
+
+
+def test_doubling_colors_the_even_closure_in_pairs():
+    rng = random.Random(5)
+    graphs = [gen_random_biregular(a, b, 2, seed) for a, b in ((1, 3), (3, 5), (2, 5), (5, 7))
+              for seed in range(3)]
+    graphs += [gen_random_even_bipartite(4, 1), build_graph(3, [(0, 1), (1, 2)]),
+               relabeled_union(3, gen_random_biregular(3, 4, 1, 0), rng)]
+    for g in graphs:
+        inner = color_even_bipartite(even_closure(g)).coloring
+        assert color_via_doubling(g).coloring == inner[:g.edge_count]
 
 
 @pytest.mark.parametrize("a,b", [(2, 4), (2, 6), (4, 8)])
@@ -314,10 +354,18 @@ def test_recognize_grid_matches_the_multiset_definition(m, n):
 
 @pytest.mark.parametrize("m", range(2, 10))
 @pytest.mark.parametrize("n", range(2, 10))
-def test_route_sides_of_grid_variants_match_bfs(m, n):
+def test_route_sides_of_grid_variants_match_bfs(monkeypatch, m, n):
     rng = random.Random(f"{m}x{n}")
     for kind, g in grid_variants(m, n, rng):
         assert RouteFacts(g).bip == bipartition(g), kind
+    # a recognized grid's sides are the grid's two rows repeated, found with
+    # no search; the 2-by-2 grid is a 4-cycle, whose regular profile searches
+    g, expected, searched = gen_grid(m, n), bipartition(gen_grid(m, n)), []
+    for module in (constructions, graph):
+        monkeypatch.setattr(module, "bipartition",
+                            lambda h, real=module.bipartition: searched.append(h) or real(h))
+    assert RouteFacts(g).bip == expected
+    assert searched == ([g] if (m, n) == (2, 2) else [])
 
 
 def reference_grid_colors(m, n):

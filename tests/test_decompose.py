@@ -261,7 +261,9 @@ def test_two_factorization_partitions_the_edges_into_2_factors(g):
     for factor in factors:
         assert all(d == 2 for d in _factor_degrees(g, factor))
     assert sorted(e for factor in factors for e in factor) == list(range(g.edge_count))
-    factor, tail = factor_arcs(g)
+    factor, tail, arc = factor_arcs(g)
+    # each edge has its own arc, numbered 0..m-1 before the padding loops
+    assert sorted(arc) == list(range(g.edge_count))
     for i, edges in enumerate(factors, start=1):
         assert edges == {e for e, f in enumerate(factor) if f == i}
         # every vertex leaves by exactly one arc of each factor

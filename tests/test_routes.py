@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import palette_index
-from palette_index import constructions
+from palette_index import constructions, graph
 from palette_index.analysis import upper_bound_catalog
 from palette_index.cli import cli_main
 from palette_index.coloring import palette_summary
@@ -328,21 +328,55 @@ def test_auto_computes_the_deg5_matching_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("a,b,tag", [(3, 9, "deg3-multiple"),
-                                     (4, 8, "deg4-multiple"),
-                                     (3, 5, "deg35-matching")])
-def test_a_family_route_reads_the_profile_once(monkeypatch, a, b, tag):
-    g = gen_random_biregular(a, b, 4, 1)
-    calls = []
-    real = constructions.biregular_profile
+def sharp_doubling_union():
+    # K_{1,4}, K_{2,4} and K_{3,4} side by side: bipartite, degrees 1..4
+    edges = [(u + offset, a + v + offset)
+             for a, offset in ((1, 0), (2, 5), (3, 11))
+             for u in range(a) for v in range(4)]
+    return build_graph(18, edges)
 
-    def counted(h):
-        calls.append(h)
-        return real(h)
 
-    monkeypatch.setattr(constructions, "biregular_profile", counted)
+@pytest.mark.parametrize("make,tag,searches", [
+    pytest.param(partial(gen_random_biregular, 3, 9, 4, 1), "deg3-multiple", 0,
+                 id="3-9-deg3-multiple"),
+    pytest.param(partial(gen_random_biregular, 4, 8, 4, 1), "deg4-multiple", 0,
+                 id="4-8-deg4-multiple"),
+    pytest.param(partial(gen_random_biregular, 5, 10, 4, 1), "deg5-multiple", 0,
+                 id="5-10-deg5-multiple"),
+    pytest.param(partial(gen_random_biregular, 6, 12, 4, 1), "half-degree-family", 0,
+                 id="6-12-half-degree-family"),
+    pytest.param(partial(gen_random_biregular, 7, 14, 4, 1), "half-degree-family", 0,
+                 id="7-14-half-degree-family"),
+    pytest.param(partial(gen_random_biregular, 3, 5, 4, 1), "deg35-matching", 0,
+                 id="3-5-deg35-matching"),
+    pytest.param(partial(gen_random_even_bipartite, 6, 3), "even-bipartite-pairs", 1,
+                 id="even-pairs"),
+    pytest.param(sharp_doubling_union, "doubling", 1, id="doubling"),
+])
+def test_a_family_route_reads_the_profile_once(monkeypatch, make, tag, searches):
+    # one profile, one bipartition search unless the profile's degree
+    # classes are the sides (a < b), and one verification of the whole
+    g = make()
+    calls = {"profile": [], "bipartition": [], "summary": []}
+
+    def counted(module, name, key):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls[key].append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(constructions, "biregular_profile", "profile")
+    counted(constructions, "palette_summary", "summary")
+    # `even_closure` and a regular graph's profile search under graph's own name
+    counted(constructions, "bipartition", "bipartition")
+    counted(graph, "bipartition", "bipartition")
     assert color_auto(g).theorem_tag == tag
-    assert calls == [g]
+    assert calls["profile"] == [g]
+    assert calls["summary"] == [g]
+    assert calls["bipartition"] == [g] * searches
 
 
 @pytest.mark.parametrize("entry", [color_auto, upper_bound_catalog])
